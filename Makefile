@@ -18,6 +18,9 @@
 # profile-guided autotuning cells and the measured-cost placement
 # comparison), and `make bench-all` regenerates every committed
 # BENCH_*.json in one go.
+# `make perfbench-smoke` runs the layered benchmark (perfbench/) for 2 s
+# on each workload and fails unless every result line reports
+# "correct": true.
 # `make obs-smoke` (also part of `dune runtest`) validates
 # oclick-report's JSON output against the report schema on the example
 # configurations; `make overload-smoke` (likewise part of `dune
@@ -30,7 +33,7 @@
 .PHONY: all build test bench bench-smoke compile-smoke parallel-smoke \
 	bench-json bench-parallel bench-overload bench-lpm bench-fdd \
 	bench-zerocopy bench-tune bench-all obs-smoke overload-smoke \
-	lpm-smoke fdd-smoke zerocopy-smoke tune-smoke clean
+	lpm-smoke fdd-smoke zerocopy-smoke tune-smoke perfbench-smoke clean
 
 all: build
 
@@ -95,6 +98,16 @@ zerocopy-smoke:
 
 tune-smoke:
 	dune build @tune-smoke
+
+perfbench-smoke:
+	@for w in iprouter cascade churn; do \
+	  line=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 \
+	    --trace 0 | tail -n 1); \
+	  case "$$line" in \
+	    *'"correct": true'*) echo "perfbench-smoke $$w: correct" ;; \
+	    *) echo "perfbench-smoke $$w: FAILED: $$line"; exit 1 ;; \
+	  esac; \
+	done
 
 clean:
 	dune clean

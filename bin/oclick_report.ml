@@ -64,8 +64,9 @@ let measure ~platform ~batch ~domains ~input_pps ~duration_ms ~warmup_ms obs
   | Error e -> Tool_common.die "%s" e
 
 (* The regions the FDD pass fused in the most recent compilation: what
-   collapsed into each single decision-diagram dispatch. Per-hop ledgers
-   are replayed exactly even inside fused regions, so this is
+   collapsed into each single decision-diagram dispatch, and how many
+   packets entered each (scalar and vector bodies alike). Per-hop
+   ledgers are replayed exactly even inside fused regions, so this is
    informational, not a caveat on the numbers. *)
 let fused_regions_json ~fuse =
   let regions =
@@ -86,6 +87,7 @@ let fused_regions_json ~fuse =
                  (List.map (fun m -> Json.String m) r.Oclick_fdd.rg_members) );
              ("nodes", Json.Int r.Oclick_fdd.rg_nodes);
              ("actions", Json.Int r.Oclick_fdd.rg_actions);
+             ("packets", Json.Int r.Oclick_fdd.rg_packets);
            ])
        regions)
 
@@ -291,10 +293,11 @@ let run json passes batch domains shards top input_pps duration_ms warmup_ms
                Printf.printf "fused regions (%d):\n" (List.length rs);
                List.iter
                  (fun (rg : Oclick_fdd.region) ->
-                   Printf.printf "  %s + [%s]: %d nodes, %d actions\n"
+                   Printf.printf "  %s + [%s]: %d nodes, %d actions, %d packets\n"
                      rg.Oclick_fdd.rg_entry
                      (String.concat ", " rg.Oclick_fdd.rg_members)
-                     rg.Oclick_fdd.rg_nodes rg.Oclick_fdd.rg_actions)
+                     rg.Oclick_fdd.rg_nodes rg.Oclick_fdd.rg_actions
+                     rg.Oclick_fdd.rg_packets)
                  rs
            | _ -> ());
         print_string (Obs.Report.table ?top (Obs.Report.Sim mhz) obs);

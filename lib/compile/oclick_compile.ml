@@ -80,14 +80,28 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
             (Graph.Router.hookups graph);
           let connections = ref 0 and fused = ref 0 and fallbacks = ref 0 in
           let regions = ref [] in
+          (* Under [fuse], the FDD pass plans one diagram per region
+             root; elements entered only from inside a region keep their
+             per-element body (used when they are entered directly). *)
+          let plans =
+            if fuse then Fdd.plan_regions elements out hooks
+            else Array.make n None
+          in
           (* Per-element fused bodies, memoized; [building] marks the
              elements whose fuse is in progress so a cycle reaching back
              into one of them takes the dynamic-dispatch fallback instead
-             of recursing forever. *)
+             of recursing forever. [vectors] holds a region root's vector
+             body once its diagram is compiled. *)
           let bodies : (Packet.t -> unit) option array = Array.make n None in
+          let vectors : (Packet.t array -> unit) option array =
+            Array.make n None
+          in
           let attempted = Array.make n false in
           let building = Array.make n false in
           let conns : (Packet.t -> unit) option array array =
+            Array.init n (fun i -> Array.make (Array.length out.(i)) None)
+          in
+          let conns_batch : (Packet.t array -> unit) option array array =
             Array.init n (fun i -> Array.make (Array.length out.(i)) None)
           in
           let rec body i =
@@ -95,36 +109,25 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
             else if attempted.(i) then bodies.(i)
             else begin
               building.(i) <- true;
-              (* Under [fuse], the cross-element FDD pass gets first
-                 claim on the region rooted here: if it absorbs at least
-                 one downstream element, its single decision-diagram
-                 closure replaces the element's own body (member
-                 elements still get their own bodies for edges entering
-                 the region mid-way). Otherwise — or always, without
-                 [fuse] — the element's per-element fused body applies. *)
-              let fdd =
-                if not fuse then None
-                else
-                  match
-                    Fdd.build
-                      {
-                        Fdd.fd_elements = elements;
-                        fd_out = out;
-                        fd_conn = (fun j port -> conn j port);
-                        fd_lean_transfer = lean;
-                        fd_lean_work = lean_work;
-                        fd_on_transfer = hooks.Hooks.on_transfer;
-                      }
-                      i
-                  with
-                  | Some (f, region) ->
-                      regions := region :: !regions;
-                      Some f
-                  | None -> None
-              in
+              (* A region root runs its decision diagram in place of the
+                 element's own body; everything else — or everything,
+                 without [fuse] — runs its per-element fused body. *)
               let r =
-                match fdd with
-                | Some _ -> fdd
+                match plans.(i) with
+                | Some plan ->
+                    let f =
+                      Fdd.compile
+                        {
+                          Fdd.fd_elements = elements;
+                          fd_conn = (fun j port -> conn j port);
+                          fd_conn_batch = (fun j port -> conn_batch j port);
+                          fd_hooks = hooks;
+                        }
+                        plan
+                    in
+                    regions := f.Fdd.fu_region :: !regions;
+                    vectors.(i) <- Some f.Fdd.fu_vector;
+                    Some f.Fdd.fu_scalar
                 | None ->
                     (* [fc_out] resolves the connection closure at fuse
                        time, so the per-packet body chains fused
@@ -217,13 +220,20 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
                     fun p ->
                       m p;
                       deliver p)
-          in
+          and conn_batch i port =
+            match conns_batch.(i).(port) with
+            | Some f -> f
+            | None ->
+                let f = make_conn_batch i port in
+                conns_batch.(i).(port) <- Some f;
+                f
           (* The batch twin replays output_batch: a batch of one falls
              back to the scalar connection, larger batches pay one
              quarantine check, one (preallocated) hook report, and one
-             push_batch dispatch — whose interior transfers re-enter the
-             compiled connections anyway. *)
-          let conn_batch i port =
+             dispatch — into the destination's region vector body when
+             it roots one, else its push_batch, whose interior transfers
+             re-enter the compiled connections anyway. *)
+          and make_conn_batch i port =
             let src = elements.(i) in
             let scalar = conn i port in
             match out.(i).(port) with
@@ -241,6 +251,14 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
                 let quarantined, consec = dst#degrade_cells in
                 let mangle = src#mangle_fn in
                 let on_transfer_batch = hooks.Hooks.on_transfer_batch in
+                (* [scalar] above already compiled [j]'s body, so a root
+                   mid-build (a cycle) is the only one without a vector
+                   body here; it takes the push_batch fallback. *)
+                let callee =
+                  match vectors.(j) with
+                  | Some v -> v
+                  | None -> fun batch -> dst#push_batch dst_port batch
+                in
                 let record =
                   {
                     Hooks.tr_src_idx = src#index;
@@ -269,7 +287,7 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
                       done
                     else begin
                       if not lean_batch then on_transfer_batch record batch nb;
-                      match dst#push_batch dst_port batch with
+                      match callee batch with
                       | () -> consec := 0
                       | exception e when not (Element.fatal e) ->
                           dst#record_fault (Printexc.to_string e);

@@ -51,11 +51,13 @@ val install : ?fuse:bool -> Oclick_runtime.Driver.t -> (stats, string) result
     fault injectors are captured at compile time; callers must not
     change them afterwards (the driver never does).
 
-    With [~fuse:true], the cross-element FDD pass ({!Oclick_fdd}) runs
-    first on every push region: cascades of classifiers, paint
+    With [~fuse:true], the cross-element FDD pass ({!Oclick_fdd}) plans
+    a diagram at every region root: cascades of classifiers, paint
     writes/switches, header guards and route lookups collapse into one
     decision-diagram closure per region, with per-element fusion as the
-    universal fallback. Observable behaviour is unchanged either way. *)
+    universal fallback. The batched connection into a region root calls
+    the region's vector body, so batches run through the diagram too.
+    Observable behaviour is unchanged either way. *)
 
 val last_stats : unit -> stats option
 (** Stats of the most recent {!install} in this process, or [None] if it

@@ -194,6 +194,13 @@ let run_until_idle_report ?(max_rounds = 1_000_000) ?(watchdog_ms = 1_000) t =
     let cuts = t.part.Partition.pt_cuts in
     let work_stamp = Atomic.make 0 in
     let quiet = Atomic.make 0 in
+    (* Quiet domains currently inside a task run. A quiet domain that
+       finds work still counts as quiet until the run returns; if that
+       run popped one ring and has not yet pushed into the next, every
+       ring reads empty and the stamp has not moved, so without this
+       count a peer could stop the run with packets in the task's
+       hands. *)
+    let busy = Atomic.make 0 in
     let stop = Atomic.make false in
     let aborted = Atomic.make false in
     (* Watchdog state. [hb] is bumped by its domain once per scheduler
@@ -292,6 +299,8 @@ let run_until_idle_report ?(max_rounds = 1_000_000) ?(watchdog_ms = 1_000) t =
         incr iters;
         if outbound <> [] && !iters mod pressure_check_interval = 0 then
           check_pressure ();
+        let was_quiet = !in_quiet in
+        if was_quiet then Atomic.incr busy;
         let did = n > 0 && Driver.run_task_array tasks ~start:!rr in
         if n > 0 then rr := (!rr + 1) mod n;
         if did then begin
@@ -304,8 +313,11 @@ let run_until_idle_report ?(max_rounds = 1_000_000) ?(watchdog_ms = 1_000) t =
             Atomic.set aborted true;
             Atomic.set stop true
           end
-        end
-        else begin
+        end;
+        (* After the stamp bump: a peer that reads [busy] = 0 then sees
+           the moved stamp. *)
+        if was_quiet then Atomic.decr busy;
+        if not did then begin
           incr idle;
           if !idle >= idle_threshold then enter_quiet ();
           if !in_quiet then begin
@@ -314,7 +326,11 @@ let run_until_idle_report ?(max_rounds = 1_000_000) ?(watchdog_ms = 1_000) t =
                our two checks. *)
             let stamp = Atomic.get work_stamp in
             if Atomic.get quiet >= t.ndomains - Atomic.get nstalled then begin
-              if rings_empty () && Atomic.get work_stamp = stamp then
+              if
+                rings_empty ()
+                && Atomic.get busy = 0
+                && Atomic.get work_stamp = stamp
+              then
                 Atomic.set stop true
               else begin
                 if !stalls = 0 then stall_t0 := Unix.gettimeofday ();

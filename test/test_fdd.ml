@@ -76,7 +76,7 @@ let device_names graph =
     (Router.indices graph);
   List.rev !names
 
-let play ~ctx ~batch ~mode ~script graph =
+let play ?quarantine ~ctx ~batch ~mode ~script graph =
   let compile, fuse = mode_flags mode in
   let drops = Hashtbl.create 8 and spawns = ref 0 and faults = ref 0 in
   let hooks =
@@ -100,7 +100,9 @@ let play ~ctx ~batch ~mode ~script graph =
     Array.to_list (Array.map (fun d -> (d :> Netdevice.t)) devs)
   in
   let d =
-    match Driver.instantiate ~hooks ~devices ~batch ~compile ~fuse graph with
+    match
+      Driver.instantiate ~hooks ~devices ?quarantine ~batch ~compile ~fuse graph
+    with
     | Ok d -> d
     | Error e -> Alcotest.failf "%s: instantiate (%s): %s" ctx (mode_name mode) e
   in
@@ -168,8 +170,11 @@ let check_outcomes_equal ~ctx a b =
 (* Three-way comparison: interpreted is ground truth, compiled and fused
    must each replay it exactly (hence fused == compiled by transitivity,
    checked once more directly to localize failures). *)
-let check_three_way ~ctx ~batch ~script graph =
-  let out mode = play ~ctx:(Printf.sprintf "%s b%d" ctx batch) ~batch ~mode ~script graph in
+let check_three_way ?quarantine ~ctx ~batch ~script graph =
+  let out mode =
+    play ?quarantine ~ctx:(Printf.sprintf "%s b%d" ctx batch) ~batch ~mode
+      ~script graph
+  in
   let interp = out `Interp and compiled = out `Compile and fused = out `Fuse in
   check_outcomes_equal
     ~ctx:(Printf.sprintf "%s b%d interp/compiled" ctx batch)
@@ -527,6 +532,215 @@ let test_install_region_stats () =
       check_bool "per-element fusion still reported" true
         (st.Oclick_compile.st_fused > 0)
 
+(* --- the vector form ---------------------------------------------------- *)
+
+(* Batches run through the fused diagram's vector body whenever the
+   batched connection enters a region root. These configurations aim
+   its three jobs — re-entrant bucket dispatch, per-packet quarantine
+   re-checks, several live exits — at every batch size. Each one's exits
+   feed distinct devices: frames that leave one vector by different
+   exits and then merge reach a shared queue in bucket order, which the
+   interpreted batched run does not promise to match. *)
+
+let vector_batches = [ 1; 8; 32 ]
+
+(* A 60-byte frame of seeded bytes with [fields] (offset, byte) set. *)
+let frame ~rng fields =
+  let p = Packet.create 60 in
+  for i = 0 to 59 do
+    Packet.set_u8 p i (Fault.Rng.int rng 256)
+  done;
+  List.iter (fun (off, v) -> Packet.set_u8 p off v) fields;
+  p
+
+(* An exit that feeds back into the region entry: the looped bucket
+   re-enters the entry's vector body while the outer call is still
+   dispatching its other buckets. EtherMirror swaps the Ethernet
+   addresses, so a looped frame comes back with byte 6 (always 03) in
+   byte 0 and leaves by the third exit. *)
+let reentrant_config =
+  "FromDevice(eth0) -> c :: Classifier(0/01, 0/02, 0/03, -);\n\
+   c [0] -> Queue(256) -> ToDevice(eth0);\n\
+   c [1] -> EtherMirror -> c;\n\
+   c [2] -> Queue(256) -> ToDevice(eth1);\n\
+   c [3] -> Discard;"
+
+let reentrant_script ~seed =
+  let rng = Fault.Rng.create ~seed in
+  List.init 120 (fun _ ->
+      let b0 = [| 0x01; 0x02; 0x02; 0x07 |].(Fault.Rng.int rng 4) in
+      (0, frame ~rng [ (0, b0); (6, 0x03) ]))
+
+let test_reentrant_flush () =
+  let graph = parse_exn "re-entrant" reentrant_config in
+  List.iter
+    (fun batch ->
+      for seed = 1 to 3 do
+        check_three_way
+          ~ctx:(Printf.sprintf "re-entrant seed %d" seed)
+          ~batch ~script:(reentrant_script ~seed) graph
+      done)
+    vector_batches;
+  let o =
+    play ~ctx:"re-entrant" ~batch:32 ~mode:`Fuse
+      ~script:(reentrant_script ~seed:1) graph
+  in
+  check_bool "looped frames left by the third exit" true (o.o_emitted.(1) <> [])
+
+(* A guard that raises on frames marked 0xee at byte 1: seeded element
+   faults at the entry of a fused region, so the quarantine threshold is
+   crossed in the middle of a vector. *)
+class faulty_guard name =
+  object (self)
+    inherit Oclick_runtime.Element.simple_action name
+    method class_name = "Test@FaultyGuard"
+
+    method private action p =
+      if Packet.get_u8 p 1 = 0xee then failwith "injected guard bug" else Some p
+
+    method! region_sem =
+      Some
+        (Oclick_runtime.Region.Guard
+           {
+             gd_shift = 0;
+             gd_barrier = false;
+             gd_run = (fun p -> Option.is_some (self#action p));
+           })
+  end
+
+let () =
+  Oclick_runtime.Registry.register
+    ~spec:(Oclick_graph.Spec.make "Test@FaultyGuard")
+    "Test@FaultyGuard"
+    (fun name -> (new faulty_guard name :> Oclick_runtime.Element.t))
+
+let faulty_config =
+  "FromDevice(eth0) -> g :: Test@FaultyGuard\n\
+  \  -> c :: Classifier(12/0800, 12/0806, -);\n\
+   c [0] -> Queue(256) -> ToDevice(eth0);\n\
+   c [1] -> Queue(256) -> ToDevice(eth1);\n\
+   c [2] -> Discard;"
+
+(* One isolated fault (frame 20), then three in a row (66-68): with a
+   quarantine threshold of 3 the guard trips at frame 68, the fifth
+   frame of its vector at batch 8 and 32. *)
+let faulty_script () =
+  let rng = Fault.Rng.create ~seed:7 in
+  List.init 120 (fun i ->
+      let ty = [| 0x00; 0x06; 0x42 |].(Fault.Rng.int rng 3) in
+      let mark = if i = 20 || (i >= 66 && i <= 68) then 0xee else 0x00 in
+      (0, frame ~rng [ (1, mark); (12, 0x08); (13, ty) ]))
+
+let test_quarantine_mid_vector () =
+  let graph = parse_exn "faulty" faulty_config in
+  List.iter
+    (fun batch ->
+      check_three_way ~quarantine:3 ~ctx:"quarantine mid-vector" ~batch
+        ~script:(faulty_script ()) graph)
+    vector_batches;
+  let o =
+    play ~quarantine:3 ~ctx:"quarantine" ~batch:32 ~mode:`Fuse
+      ~script:(faulty_script ()) graph
+  in
+  check "faults contained before the trip" 4 o.o_faults;
+  check_bool "later frames dropped by quarantine" true
+    (List.mem_assoc "quarantined element" o.o_drops)
+
+(* Four live exits from one region — a route leaf and three connections
+   — with the IPv4 route bucket dominant but never first to arrive, so
+   the dominant bucket compacts in place while the others are copied
+   out ahead of it. *)
+let exits_config =
+  "FromDevice(eth0) -> c :: Classifier(12/0800, 12/0806, 12/86dd, -);\n\
+   c [0] -> Strip(14) -> CheckIPHeader() -> GetIPAddress(16)\n\
+  \  -> rt :: LookupIPRoute(10.0.0.0/24 0, 10.0.1.0/24 1, 0.0.0.0/0 2);\n\
+   rt [0] -> Queue(256) -> ToDevice(eth0);\n\
+   rt [1] -> Queue(256) -> ToDevice(eth1);\n\
+   rt [2] -> Discard;\n\
+   c [1] -> Queue(256) -> ToDevice(eth2);\n\
+   c [2] -> Queue(256) -> ToDevice(eth3);\n\
+   c [3] -> Discard;"
+
+let exits_script ~seed =
+  let rng = Fault.Rng.create ~seed in
+  let host net = Ipaddr.of_octets 10 0 net (1 + Fault.Rng.int rng 200) in
+  List.init 160 (fun i ->
+      let p =
+        if i mod 8 = 0 then frame ~rng [ (12, 0x08); (13, 0x06) ]
+        else
+          match Fault.Rng.int rng 7 with
+          | 0 -> frame ~rng [ (12, 0x86); (13, 0xdd) ]
+          | 1 -> frame ~rng [ (12, 0x12); (13, 0x34) ]
+          | 2 ->
+              Headers.Build.udp ~src_ip:(host 9)
+                ~dst_ip:(Ipaddr.of_octets 192 168 1 1) ()
+          | 3 | 4 -> Headers.Build.udp ~src_ip:(host 9) ~dst_ip:(host 1) ()
+          | _ -> Headers.Build.udp ~src_ip:(host 9) ~dst_ip:(host 0) ()
+      in
+      (0, p))
+
+let test_many_exits () =
+  let graph = parse_exn "exits" exits_config in
+  List.iter
+    (fun batch ->
+      for seed = 1 to 3 do
+        check_three_way
+          ~ctx:(Printf.sprintf "four exits seed %d" seed)
+          ~batch ~script:(exits_script ~seed) graph
+      done)
+    vector_batches;
+  let o =
+    play ~ctx:"four exits" ~batch:32 ~mode:`Fuse ~script:(exits_script ~seed:1)
+      graph
+  in
+  Array.iteri
+    (fun i frames ->
+      check_bool (Printf.sprintf "frames left for dev%d" i) true (frames <> []))
+    o.o_emitted
+
+(* The region counter is bumped by the vector body too: at batch 32 the
+   cascade's single region — rooted at its first stage, the later stages
+   absorbed rather than given diagrams of their own — counts every
+   offered frame, fall-throughs included. *)
+let cascade_stages = 4
+
+let counted_cascade_config =
+  String.concat ""
+    (List.init cascade_stages (fun i ->
+         Printf.sprintf
+           "k%d :: Classifier(12/0800 %d/%02x, -);\nk%d [1] -> Discard;\n" i
+           (42 + i) (0xa0 + i) i))
+  ^ "FromDevice(eth0) -> k0 -> k1 -> k2 -> k3 -> Queue(512) -> ToDevice(eth1);"
+
+(* Every fourth frame falls through at a seeded stage. *)
+let counted_cascade_script () =
+  let rng = Fault.Rng.create ~seed:3 in
+  List.init 200 (fun i ->
+      let fall = if i mod 4 = 0 then Fault.Rng.int rng cascade_stages else -1 in
+      let stages =
+        List.init cascade_stages (fun s ->
+            (42 + s, if s = fall then 0 else 0xa0 + s))
+      in
+      (0, frame ~rng ((12, 0x08) :: (13, 0x00) :: stages)))
+
+let test_region_counts_vectors () =
+  let graph = parse_exn "counted cascade" counted_cascade_config in
+  let script = counted_cascade_script () in
+  check_three_way ~ctx:"counted cascade" ~batch:32 ~script graph;
+  let o = play ~ctx:"counted cascade" ~batch:32 ~mode:`Fuse ~script graph in
+  match Oclick_compile.last_stats () with
+  | None -> Alcotest.fail "no compile stats"
+  | Some st -> (
+      match st.Oclick_compile.st_regions with
+      | [ r ] ->
+          Alcotest.(check string)
+            "the region roots at the first stage" "k0" r.Fdd.rg_entry;
+          check "later stages absorbed" (cascade_stages - 1)
+            (List.length r.Fdd.rg_members);
+          check "every offered frame counted" o.o_injected r.Fdd.rg_packets
+      | rs ->
+          Alcotest.failf "%d regions on the cascade, want 1" (List.length rs))
+
 let () =
   Alcotest.run "fdd"
     [
@@ -541,6 +755,16 @@ let () =
             test_testbed_differential;
           Alcotest.test_case "obs ledger equality" `Quick
             test_obs_ledger_equality;
+        ] );
+      ( "vector",
+        [
+          Alcotest.test_case "re-entrant exit flush" `Quick
+            test_reentrant_flush;
+          Alcotest.test_case "quarantine mid-vector" `Quick
+            test_quarantine_mid_vector;
+          Alcotest.test_case "four live exits" `Quick test_many_exits;
+          Alcotest.test_case "region counts every vector" `Quick
+            test_region_counts_vectors;
         ] );
       ( "routing",
         [

@@ -409,11 +409,15 @@ let test_runner_differential () =
       List.iter
         (fun domains ->
           let got = runner_totals ~domains ~batch ~pool ~compile () in
-          check_bool
+          (* Printed whole, so a divergence names the counter. *)
+          let show (c0, c1, c2, all, delivered, drops) =
+            Printf.sprintf "c0=%d c1=%d c2=%d all=%d delivered=%d drops=%d" c0
+              c1 c2 all delivered drops
+          in
+          Alcotest.(check string)
             (Printf.sprintf "domains=%d totals (batch=%d pool=%b compile=%b)"
                domains batch pool compile)
-            true
-            (got = reference))
+            (show reference) (show got))
         [ 2; 3; 4 ])
     [ (1, false, false); (8, true, false); (1, false, true); (8, true, true) ]
 

@@ -70,9 +70,12 @@ let check_sections label v =
           (match Json.member "members" r with
           | Some (Json.List (_ :: _)) -> ()
           | _ -> die "%s: fused region without members" label);
-          match (Json.member "nodes" r, Json.member "actions" r) with
+          (match (Json.member "nodes" r, Json.member "actions" r) with
           | Some (Json.Int n), Some (Json.Int a) when n >= 0 && a >= 1 -> ()
-          | _ -> die "%s: fused region with bad nodes/actions" label)
+          | _ -> die "%s: fused region with bad nodes/actions" label);
+          match Json.member "packets" r with
+          | Some (Json.Int n) when n >= 0 -> ()
+          | _ -> die "%s: fused region without a packet count" label)
         rs
   | Some _ -> die "%s: \"fused_regions\" is not a list" label
   | None -> die "%s: missing \"fused_regions\"" label
