@@ -1,8 +1,10 @@
 # Convenience wrappers around dune. `make bench-smoke` (also run as part
 # of `make test` via the @bench-smoke alias) is the sub-second sanity run
-# of the wall-clock batch benchmark; `make compile-smoke` is the same for
-# the interpreted-vs-compiled datapath section and `make parallel-smoke`
-# for the multicore-scaling section; `make bench` regenerates every
+# of the wall-clock batch benchmark, its JSON validated against the
+# pooled-over-scalar speedup bar and the minor-heap words per packet
+# ceilings; `make compile-smoke` is the same for the
+# interpreted-vs-compiled datapath section and `make parallel-smoke` for
+# the multicore-scaling section; `make bench` regenerates every
 # section, and `make bench-json` refreshes the committed BENCH_batch.json,
 # BENCH_compile.json, and BENCH_obs.json baselines in the repo root.
 # `make bench-parallel` refreshes BENCH_parallel.json (the multicore
@@ -11,13 +13,10 @@
 # `make bench-lpm` refreshes BENCH_lpm.json (DIR-24-8 trie vs linear
 # route lookup up to 1M routes — the full run takes a few minutes),
 # `make bench-fdd` refreshes BENCH_fdd.json (compiled vs FDD-fused
-# datapath on the cascaded-classifier config), `make bench-zerocopy`
-# refreshes BENCH_zerocopy.json (off-heap slab packet buffers vs the
-# heap-Bytes representations: wall clock plus minor-heap words per
-# forwarded packet), `make bench-tune` refreshes BENCH_tune.json (the
-# profile-guided autotuning cells and the measured-cost placement
-# comparison), and `make bench-all` regenerates every committed
-# BENCH_*.json in one go.
+# datapath on the cascaded-classifier config), `make bench-tune`
+# refreshes BENCH_tune.json (the profile-guided autotuning cells and the
+# measured-cost placement comparison), and `make bench-all` regenerates
+# every committed BENCH_*.json in one go.
 # `make perfbench-smoke` runs the layered benchmark (perfbench/) for 2 s
 # on each workload and fails unless every result line reports
 # "correct": true.
@@ -26,14 +25,13 @@
 # configurations; `make overload-smoke` (likewise part of `dune
 # runtest`) runs the overload benchmark on the smoke budget and
 # validates its JSON against the curve schema; `make lpm-smoke`,
-# `make fdd-smoke`, `make zerocopy-smoke`, and `make tune-smoke` do the
-# same for the route-lookup, fusion, zero-copy, and autotuning
-# benchmarks.
+# `make fdd-smoke`, and `make tune-smoke` do the same for the
+# route-lookup, fusion, and autotuning benchmarks.
 
 .PHONY: all build test bench bench-smoke compile-smoke parallel-smoke \
 	bench-json bench-parallel bench-overload bench-lpm bench-fdd \
-	bench-zerocopy bench-tune bench-all obs-smoke overload-smoke \
-	lpm-smoke fdd-smoke zerocopy-smoke tune-smoke perfbench-smoke clean
+	bench-tune bench-all obs-smoke overload-smoke lpm-smoke fdd-smoke \
+	tune-smoke perfbench-smoke clean
 
 all: build
 
@@ -72,14 +70,11 @@ bench-lpm: build
 bench-fdd: build
 	cd $(CURDIR) && dune exec --no-build bench/main.exe -- fdd --json
 
-bench-zerocopy: build
-	cd $(CURDIR) && dune exec --no-build bench/main.exe -- zerocopy --json
-
 bench-tune: build
 	cd $(CURDIR) && dune exec --no-build bench/main.exe -- tune --json
 
 bench-all: bench-json bench-parallel bench-overload bench-lpm bench-fdd \
-	bench-zerocopy bench-tune
+	bench-tune
 
 obs-smoke:
 	dune build @obs-smoke
@@ -92,9 +87,6 @@ lpm-smoke:
 
 fdd-smoke:
 	dune build @fdd-smoke
-
-zerocopy-smoke:
-	dune build @zerocopy-smoke
 
 tune-smoke:
 	dune build @tune-smoke

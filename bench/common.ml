@@ -83,68 +83,13 @@ let mlffr ~platform graph =
 let smoke = ref false
 let json = ref false
 
-type json_value =
-  | J_int of int
-  | J_float of float
-  | J_string of string
-  | J_bool of bool
-  | J_list of json_value list
-  | J_obj of (string * json_value) list
-
-let rec json_to_buf buf ~indent v =
-  let pad n = String.make n ' ' in
-  match v with
-  | J_int i -> Buffer.add_string buf (string_of_int i)
-  | J_float f -> Buffer.add_string buf (Printf.sprintf "%.6g" f)
-  | J_bool b -> Buffer.add_string buf (string_of_bool b)
-  | J_string s ->
-      Buffer.add_char buf '"';
-      String.iter
-        (function
-          | '"' -> Buffer.add_string buf "\\\""
-          | '\\' -> Buffer.add_string buf "\\\\"
-          | '\n' -> Buffer.add_string buf "\\n"
-          | c when Char.code c < 0x20 ->
-              Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-          | c -> Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '"'
-  | J_list [] -> Buffer.add_string buf "[]"
-  | J_list items ->
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (pad (indent + 2));
-          json_to_buf buf ~indent:(indent + 2) item)
-        items;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (pad indent);
-      Buffer.add_char buf ']'
-  | J_obj [] -> Buffer.add_string buf "{}"
-  | J_obj fields ->
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (pad (indent + 2));
-          json_to_buf buf ~indent:(indent + 2) (J_string k);
-          Buffer.add_string buf ": ";
-          json_to_buf buf ~indent:(indent + 2) item)
-        fields;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (pad indent);
-      Buffer.add_char buf '}'
-
 (* Write BENCH_<section>.json in the current directory when --json is on. *)
 let write_json ~section v =
   if !json then begin
     let file = Printf.sprintf "BENCH_%s.json" section in
-    let buf = Buffer.create 1024 in
-    json_to_buf buf ~indent:0 v;
-    Buffer.add_char buf '\n';
     let oc = open_out file in
-    output_string oc (Buffer.contents buf);
+    output_string oc (Oclick_obs.Json.to_string v);
+    output_char oc '\n';
     close_out oc;
     Printf.printf "wrote %s\n" file
   end

@@ -20,6 +20,7 @@ module Pool = Oclick_packet.Packet.Pool
 module Headers = Oclick_packet.Headers
 module Ethaddr = Oclick_packet.Ethaddr
 module Ipaddr = Oclick_packet.Ipaddr
+module Json = Oclick_obs.Json
 
 let () = Oclick_compile.register ()
 
@@ -150,16 +151,16 @@ let classifier_graph =
   Oclick.Ip_router.graph (Buffer.contents buf)
 
 let variant_json ~name ~batch ~pool ~compile (fwd, off, dt, pps) =
-  Common.J_obj
+  Json.Obj
     [
-      ("name", Common.J_string name);
-      ("batch", Common.J_int batch);
-      ("pool", Common.J_bool pool);
-      ("compiled", Common.J_bool compile);
-      ("offered", Common.J_int off);
-      ("forwarded", Common.J_int fwd);
-      ("seconds", Common.J_float dt);
-      ("pps", Common.J_float pps);
+      ("name", Json.String name);
+      ("batch", Json.Int batch);
+      ("pool", Json.Bool pool);
+      ("compiled", Json.Bool compile);
+      ("offered", Json.Int off);
+      ("forwarded", Json.Int fwd);
+      ("seconds", Json.Float dt);
+      ("pps", Json.Float pps);
     ]
 
 let print_variant name (fwd, _off, dt, pps) =
@@ -205,14 +206,14 @@ let run () =
     "\nspeedup: scalar %.2fx, batch %.2fx, classifier chain %.2fx\n"
     speedup_scalar speedup_batch speedup_classifier;
   Common.write_json ~section:"compile"
-    (Common.J_obj
+    (Json.Obj
        [
-         ("section", Common.J_string "compile");
-         ("interfaces", Common.J_int n_ifaces);
-         ("burst", Common.J_int burst);
-         ("smoke", Common.J_bool !Common.smoke);
+         ("section", Json.String "compile");
+         ("interfaces", Json.Int n_ifaces);
+         ("burst", Json.Int burst);
+         ("smoke", Json.Bool !Common.smoke);
          ( "variants",
-           Common.J_list
+           Json.List
              [
                variant_json ~name:"ip/interpreted-scalar" ~batch:1 ~pool:false
                  ~compile:false is_s;
@@ -227,7 +228,7 @@ let run () =
                variant_json ~name:"classifier12/compiled" ~batch:1 ~pool:false
                  ~compile:true kf_c;
              ] );
-         ("speedup_scalar", Common.J_float speedup_scalar);
-         ("speedup_batch", Common.J_float speedup_batch);
-         ("speedup_classifier", Common.J_float speedup_classifier);
+         ("speedup_scalar", Json.Float speedup_scalar);
+         ("speedup_batch", Json.Float speedup_batch);
+         ("speedup_classifier", Json.Float speedup_classifier);
        ])

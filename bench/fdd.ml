@@ -24,6 +24,7 @@ module Headers = Oclick_packet.Headers
 module Ethaddr = Oclick_packet.Ethaddr
 module Ipaddr = Oclick_packet.Ipaddr
 module Fdd = Oclick_fdd
+module Json = Oclick_obs.Json
 
 let () = Oclick_compile.register ()
 
@@ -153,27 +154,27 @@ let cascade_graph =
   Oclick.Ip_router.graph (Buffer.contents buf)
 
 let variant_json ~name ~batch ~fuse (fwd, off, dt, pps) =
-  Common.J_obj
+  Json.Obj
     [
-      ("name", Common.J_string name);
-      ("batch", Common.J_int batch);
-      ("compiled", Common.J_bool true);
-      ("fused", Common.J_bool fuse);
-      ("offered", Common.J_int off);
-      ("forwarded", Common.J_int fwd);
-      ("seconds", Common.J_float dt);
-      ("pps", Common.J_float pps);
+      ("name", Json.String name);
+      ("batch", Json.Int batch);
+      ("compiled", Json.Bool true);
+      ("fused", Json.Bool fuse);
+      ("offered", Json.Int off);
+      ("forwarded", Json.Int fwd);
+      ("seconds", Json.Float dt);
+      ("pps", Json.Float pps);
     ]
 
 let region_json (r : Fdd.region) =
-  Common.J_obj
+  Json.Obj
     [
-      ("entry", Common.J_string r.Fdd.rg_entry);
+      ("entry", Json.String r.Fdd.rg_entry);
       ( "members",
-        Common.J_list
-          (List.map (fun m -> Common.J_string m) r.Fdd.rg_members) );
-      ("nodes", Common.J_int r.Fdd.rg_nodes);
-      ("actions", Common.J_int r.Fdd.rg_actions);
+        Json.List
+          (List.map (fun m -> Json.String m) r.Fdd.rg_members) );
+      ("nodes", Json.Int r.Fdd.rg_nodes);
+      ("actions", Json.Int r.Fdd.rg_actions);
     ]
 
 let print_variant name (fwd, _off, dt, pps) =
@@ -240,14 +241,14 @@ let run () =
      ip router %.2fx\n"
     speedup_scalar speedup_batch speedup_ip;
   Common.write_json ~section:"fdd"
-    (Common.J_obj
+    (Json.Obj
        [
-         ("section", Common.J_string "fdd");
-         ("stages", Common.J_int stages);
-         ("burst", Common.J_int burst);
-         ("smoke", Common.J_bool !Common.smoke);
+         ("section", Json.String "fdd");
+         ("stages", Json.Int stages);
+         ("burst", Json.Int burst);
+         ("smoke", Json.Bool !Common.smoke);
          ( "variants",
-           Common.J_list
+           Json.List
              [
                variant_json ~name:"cascade12/compiled-scalar" ~batch:1
                  ~fuse:false kc_s;
@@ -261,9 +262,9 @@ let run () =
                  ip_c;
                variant_json ~name:"ip/fused-scalar" ~batch:1 ~fuse:true ip_f;
              ] );
-         ("cascade_regions", Common.J_list (List.map region_json cascade_regions));
-         ("ip_regions", Common.J_list (List.map region_json ip_regions));
-         ("speedup_cascade_scalar", Common.J_float speedup_scalar);
-         ("speedup_cascade_batch", Common.J_float speedup_batch);
-         ("speedup_ip", Common.J_float speedup_ip);
+         ("cascade_regions", Json.List (List.map region_json cascade_regions));
+         ("ip_regions", Json.List (List.map region_json ip_regions));
+         ("speedup_cascade_scalar", Json.Float speedup_scalar);
+         ("speedup_cascade_batch", Json.Float speedup_batch);
+         ("speedup_ip", Json.Float speedup_ip);
        ])

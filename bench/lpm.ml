@@ -26,6 +26,7 @@ module Headers = Oclick_packet.Headers
 module Ethaddr = Oclick_packet.Ethaddr
 module Ipaddr = Oclick_packet.Ipaddr
 module Routegen = Oclick_lpm.Routegen
+module Json = Oclick_obs.Json
 
 let nports = 8
 let batch_size = 256
@@ -139,12 +140,12 @@ let differential linear_e trie_e probes =
 let variant_json name extra (lookups, dt) =
   let mlps = float_of_int lookups /. dt /. 1e6 in
   ( mlps,
-    Common.J_obj
+    Json.Obj
       (( [
-           ("name", Common.J_string name);
-           ("lookups", Common.J_int lookups);
-           ("seconds", Common.J_float dt);
-           ("mlookups_per_s", Common.J_float mlps);
+           ("name", Json.String name);
+           ("lookups", Json.Int lookups);
+           ("seconds", Json.Float dt);
+           ("mlookups_per_s", Json.Float mlps);
          ]
        @ extra )) )
 
@@ -171,7 +172,7 @@ let bench_size size =
   in
   let _, trie_b_j =
     variant_json "trie_batch"
-      [ ("batch", Common.J_int batch_size) ]
+      [ ("batch", Json.Int batch_size) ]
       (batch_rate trie_e probes reps)
   in
   let _, trie_c_j =
@@ -182,28 +183,28 @@ let bench_size size =
   Printf.printf "%9d %12.2f %12.2f %12.2f %12.2f %9.1fx %6s %11d %8d\n" size
     lin_mlps trie_mlps
     (match trie_b_j with
-    | Common.J_obj kvs -> (
+    | Json.Obj kvs -> (
         match List.assoc "mlookups_per_s" kvs with
-        | Common.J_float f -> f
+        | Json.Float f -> f
         | _ -> 0.)
     | _ -> 0.)
     (match trie_c_j with
-    | Common.J_obj kvs -> (
+    | Json.Obj kvs -> (
         match List.assoc "mlookups_per_s" kvs with
-        | Common.J_float f -> f
+        | Json.Float f -> f
         | _ -> 0.)
     | _ -> 0.)
     speedup
     (if diff_ok then "ok" else "FAIL")
     (stat "trie_bytes") (stat "leaf_blocks");
-  Common.J_obj
+  Json.Obj
     [
-      ("routes", Common.J_int size);
-      ("trie_bytes", Common.J_int (stat "trie_bytes"));
-      ("leaf_blocks", Common.J_int (stat "leaf_blocks"));
-      ("differential_ok", Common.J_bool diff_ok);
-      ("speedup_trie_vs_linear", Common.J_float speedup);
-      ("variants", Common.J_list [ lin_j; trie_j; trie_b_j; trie_c_j ]);
+      ("routes", Json.Int size);
+      ("trie_bytes", Json.Int (stat "trie_bytes"));
+      ("leaf_blocks", Json.Int (stat "leaf_blocks"));
+      ("differential_ok", Json.Bool diff_ok);
+      ("speedup_trie_vs_linear", Json.Float speedup);
+      ("variants", Json.List [ lin_j; trie_j; trie_b_j; trie_c_j ]);
     ]
 
 (* --- part two: end-to-end Fig. 8 with table ballast --- *)
@@ -313,22 +314,22 @@ let run () =
     (Common.kpps base_pps) base_fwd base_off (Common.kpps big_pps) extra
     big_fwd big_off;
   Common.write_json ~section:"lpm"
-    (Common.J_obj
+    (Json.Obj
        [
-         ("section", Common.J_string "lpm");
-         ("smoke", Common.J_bool !Common.smoke);
-         ("nports", Common.J_int nports);
-         ("batch", Common.J_int batch_size);
-         ("sizes", Common.J_list size_rows);
+         ("section", Json.String "lpm");
+         ("smoke", Json.Bool !Common.smoke);
+         ("nports", Json.Int nports);
+         ("batch", Json.Int batch_size);
+         ("sizes", Json.List size_rows);
          ( "e2e",
-           Common.J_obj
+           Json.Obj
              [
-               ("graph", Common.J_string "ip-router");
-               ("interfaces", Common.J_int n_ifaces);
-               ("extra_routes", Common.J_int extra);
-               ("offered", Common.J_int big_off);
-               ("forwarded", Common.J_int big_fwd);
-               ("baseline_pps", Common.J_float base_pps);
-               ("bigtable_pps", Common.J_float big_pps);
+               ("graph", Json.String "ip-router");
+               ("interfaces", Json.Int n_ifaces);
+               ("extra_routes", Json.Int extra);
+               ("offered", Json.Int big_off);
+               ("forwarded", Json.Int big_fwd);
+               ("baseline_pps", Json.Float base_pps);
+               ("bigtable_pps", Json.Float big_pps);
              ] );
        ])

@@ -30,7 +30,6 @@ let sections =
     ("overload", Overload.run);
     ("lpm", Lpm.run);
     ("fdd", Fdd.run);
-    ("zerocopy", Membench.run);
     ("tune", Tune.run);
   ]
 

@@ -12,6 +12,7 @@
 module Obs = Oclick_obs
 module Testbed = Oclick_hw.Testbed
 module Platform = Oclick_hw.Platform
+module Json = Oclick_obs.Json
 
 let mhz = float_of_int Platform.p0.Platform.p_cpu_mhz
 
@@ -64,15 +65,15 @@ let measure sc =
   (obs, r)
 
 let element_json (s : Obs.stats) =
-  Common.J_obj
+  Json.Obj
     [
-      ("name", Common.J_string s.Obs.s_name);
-      ("class", Common.J_string s.Obs.s_class);
-      ("in", Common.J_int s.Obs.s_in);
-      ("out", Common.J_int s.Obs.s_out);
-      ("drops", Common.J_int s.Obs.s_drops);
-      ("batches", Common.J_int s.Obs.s_batches);
-      ("sim_ns", Common.J_int s.Obs.s_sim_ns);
+      ("name", Json.String s.Obs.s_name);
+      ("class", Json.String s.Obs.s_class);
+      ("in", Json.Int s.Obs.s_in);
+      ("out", Json.Int s.Obs.s_out);
+      ("drops", Json.Int s.Obs.s_drops);
+      ("batches", Json.Int s.Obs.s_batches);
+      ("sim_ns", Json.Int s.Obs.s_sim_ns);
     ]
 
 let run () =
@@ -89,23 +90,23 @@ let run () =
       (scenarios ())
   in
   Common.write_json ~section:"obs"
-    (Common.J_obj
+    (Json.Obj
        [
-         ("section", Common.J_string "obs");
-         ("cpu_mhz", Common.J_float mhz);
+         ("section", Json.String "obs");
+         ("cpu_mhz", Json.Float mhz);
          ( "scenarios",
-           Common.J_list
+           Json.List
              (List.map
                 (fun (sc, stats, total_ns, (r : Testbed.result)) ->
-                  Common.J_obj
+                  Json.Obj
                     [
-                      ("name", Common.J_string sc.sc_name);
-                      ("batch", Common.J_int sc.sc_batch);
-                      ("aggregate_ns", Common.J_int total_ns);
-                      ("ns_per_packet", Common.J_float r.Testbed.r_total_ns);
-                      ("forwarded_pps", Common.J_float r.Testbed.r_forwarded_pps);
+                      ("name", Json.String sc.sc_name);
+                      ("batch", Json.Int sc.sc_batch);
+                      ("aggregate_ns", Json.Int total_ns);
+                      ("ns_per_packet", Json.Float r.Testbed.r_total_ns);
+                      ("forwarded_pps", Json.Float r.Testbed.r_forwarded_pps);
                       ( "elements",
-                        Common.J_list
+                        Json.List
                           (List.filter_map
                              (fun (s : Obs.stats) ->
                                if

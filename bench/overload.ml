@@ -24,6 +24,7 @@
 module Testbed = Oclick_hw.Testbed
 module Platform = Oclick_hw.Platform
 module Host = Oclick_hw.Host
+module Json = Oclick_obs.Json
 
 let nports = 8
 let platform = { Platform.p2 with Platform.p_nports = nports }
@@ -112,43 +113,43 @@ let run () =
         (if p >= 0.7 then "(holds)" else "(COLLAPSED)"))
     curves;
   Common.write_json ~section:"overload"
-    (Common.J_obj
+    (Json.Obj
        [
-         ("section", Common.J_string "overload");
-         ("ports", Common.J_int nports);
-         ("duration_ms", Common.J_int duration_ms);
-         ("smoke", Common.J_bool !Common.smoke);
+         ("section", Json.String "overload");
+         ("ports", Json.Int nports);
+         ("duration_ms", Json.Int duration_ms);
+         ("smoke", Json.Bool !Common.smoke);
          ( "loads",
-           Common.J_list (List.map (fun l -> Common.J_int l) loads) );
+           Json.List (List.map (fun l -> Json.Int l) loads) );
          ( "curves",
-           Common.J_list
+           Json.List
              (List.map
                 (fun (wname, domains, points) ->
-                  Common.J_obj
+                  Json.Obj
                     [
-                      ("workload", Common.J_string wname);
-                      ("domains", Common.J_int domains);
-                      ("plateau", Common.J_float (plateau points));
+                      ("workload", Json.String wname);
+                      ("domains", Json.Int domains);
+                      ("plateau", Json.Float (plateau points));
                       ( "points",
-                        Common.J_list
+                        Json.List
                           (List.map
                              (fun (input_pps, (r : Testbed.result)) ->
-                               Common.J_obj
+                               Json.Obj
                                  [
-                                   ("offered_pps", Common.J_int input_pps);
+                                   ("offered_pps", Json.Int input_pps);
                                    ( "goodput_pps",
-                                     Common.J_float r.Testbed.r_forwarded_pps
+                                     Json.Float r.Testbed.r_forwarded_pps
                                    );
                                    ( "drops",
-                                     Common.J_int
+                                     Json.Int
                                        (total_drops r.Testbed.r_outcomes) );
                                    ( "cpu_utilization",
-                                     Common.J_float r.Testbed.r_cpu_utilization
+                                     Json.Float r.Testbed.r_cpu_utilization
                                    );
                                    ( "conserved",
                                      (* Ok from Testbed.run implies the
                                         ledger balanced exactly. *)
-                                     Common.J_bool true );
+                                     Json.Bool true );
                                  ])
                              points) );
                     ])

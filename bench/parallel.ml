@@ -16,6 +16,7 @@
 module Testbed = Oclick_hw.Testbed
 module Platform = Oclick_hw.Platform
 module Partition = Oclick_parallel.Partition
+module Json = Oclick_obs.Json
 
 let nports = 8
 let platform = { Platform.p2 with Platform.p_nports = nports }
@@ -48,17 +49,17 @@ let partition_json ~domains =
   match Partition.compute ~domains graph with
   | Error e -> failwith ("parallel bench: " ^ e)
   | Ok p ->
-      Common.J_obj
+      Json.Obj
         [
-          ("domains", Common.J_int domains);
+          ("domains", Json.Int domains);
           ( "shard_sizes",
-            Common.J_list
+            Json.List
               (Array.to_list
                  (Array.map
-                    (fun n -> Common.J_int n)
+                    (fun n -> Json.Int n)
                     (Partition.shard_counts p))) );
-          ("cuts", Common.J_int (List.length p.Partition.pt_cuts));
-          ("inserted_stages", Common.J_int (2 * List.length p.Partition.pt_inserted));
+          ("cuts", Json.Int (List.length p.Partition.pt_cuts));
+          ("inserted_stages", Json.Int (2 * List.length p.Partition.pt_inserted));
         ]
 
 let run () =
@@ -116,42 +117,42 @@ let run () =
     (speedup_of "interpreted batch 32")
     (speedup_of "compiled batch 32");
   Common.write_json ~section:"parallel"
-    (Common.J_obj
+    (Json.Obj
        [
-         ("section", Common.J_string "parallel");
-         ("ports", Common.J_int nports);
-         ("input_pps", Common.J_int input_pps);
-         ("duration_ms", Common.J_int duration_ms);
-         ("smoke", Common.J_bool !Common.smoke);
+         ("section", Json.String "parallel");
+         ("ports", Json.Int nports);
+         ("input_pps", Json.Int input_pps);
+         ("duration_ms", Json.Int duration_ms);
+         ("smoke", Json.Bool !Common.smoke);
          ( "partitions",
-           Common.J_list
+           Json.List
              (List.map
                 (fun d -> partition_json ~domains:d)
                 (List.filter (fun d -> d > 1) domain_counts)) );
          ( "variants",
-           Common.J_list
+           Json.List
              (List.concat_map
                 (fun (name, batch, compile, runs, base) ->
                   List.map
                     (fun (domains, r) ->
-                      Common.J_obj
+                      Json.Obj
                         [
-                          ("name", Common.J_string name);
-                          ("domains", Common.J_int domains);
-                          ("batch", Common.J_int batch);
-                          ("compiled", Common.J_bool compile);
+                          ("name", Json.String name);
+                          ("domains", Json.Int domains);
+                          ("batch", Json.Int batch);
+                          ("compiled", Json.Bool compile);
                           ( "forwarded_pps",
-                            Common.J_float r.Testbed.r_forwarded_pps );
+                            Json.Float r.Testbed.r_forwarded_pps );
                           ( "cpu_utilization",
-                            Common.J_float r.Testbed.r_cpu_utilization );
+                            Json.Float r.Testbed.r_cpu_utilization );
                           ( "speedup",
-                            Common.J_float
+                            Json.Float
                               (r.Testbed.r_forwarded_pps /. base) );
                         ])
                     runs)
                 results) );
          ( "speedup_4dom_batch",
-           Common.J_float (speedup_of "interpreted batch 32") );
+           Json.Float (speedup_of "interpreted batch 32") );
          ( "speedup_4dom_batch_compiled",
-           Common.J_float (speedup_of "compiled batch 32") );
+           Json.Float (speedup_of "compiled batch 32") );
        ])

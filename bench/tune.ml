@@ -30,6 +30,7 @@ module Testbed = Oclick_hw.Testbed
 module Platform = Oclick_hw.Platform
 module Host = Oclick_hw.Host
 module Partition = Oclick_parallel.Partition
+module Json = Oclick_obs.Json
 
 let seed = 1
 
@@ -157,45 +158,45 @@ let run_cell ~budget ~duration_ms ~warmup_ms ~drain_ms cell =
 
 let score_json (s : Tune.score) =
   [
-    ("pps", Common.J_float s.Tune.sc_pps);
-    ("ns_per_pkt", Common.J_float s.Tune.sc_ns);
+    ("pps", Json.Float s.Tune.sc_pps);
+    ("ns_per_pkt", Json.Float s.Tune.sc_ns);
   ]
 
 let cell_json r =
   let t = r.cr_tuned in
   let bd_c, bd_s = r.cr_best_default in
-  Common.J_obj
+  Json.Obj
     [
-      ("name", Common.J_string r.cr_cell.cl_name);
-      ("platform", Common.J_string r.cr_cell.cl_platform.Platform.p_name);
-      ("workload", Common.J_string r.cr_cell.cl_workload_name);
-      ("input_pps", Common.J_int r.cr_cell.cl_input_pps);
-      ("seed", Common.J_int seed);
-      ("budget", Common.J_int r.cr_budget);
-      ("evals", Common.J_int t.Tune.t_evals);
-      ("points", Common.J_int t.Tune.t_points);
-      ("exhaustive", Common.J_bool t.Tune.t_exhaustive);
-      ("fusion_worthwhile", Common.J_bool r.cr_fusion_worthwhile);
+      ("name", Json.String r.cr_cell.cl_name);
+      ("platform", Json.String r.cr_cell.cl_platform.Platform.p_name);
+      ("workload", Json.String r.cr_cell.cl_workload_name);
+      ("input_pps", Json.Int r.cr_cell.cl_input_pps);
+      ("seed", Json.Int seed);
+      ("budget", Json.Int r.cr_budget);
+      ("evals", Json.Int t.Tune.t_evals);
+      ("points", Json.Int t.Tune.t_points);
+      ("exhaustive", Json.Bool t.Tune.t_exhaustive);
+      ("fusion_worthwhile", Json.Bool r.cr_fusion_worthwhile);
       ( "tuned",
-        Common.J_obj
-          (("config", Common.J_string (Tune.describe t.Tune.t_config))
+        Json.Obj
+          (("config", Json.String (Tune.describe t.Tune.t_config))
            :: score_json t.Tune.t_score
-          @ [ ("command", Common.J_string (Tune.command_line t.Tune.t_config)) ])
+          @ [ ("command", Json.String (Tune.command_line t.Tune.t_config)) ])
       );
       ( "best_default",
-        Common.J_obj
-          (("config", Common.J_string (Tune.describe bd_c)) :: score_json bd_s)
+        Json.Obj
+          (("config", Json.String (Tune.describe bd_c)) :: score_json bd_s)
       );
       ( "defaults",
-        Common.J_list
+        Json.List
           (List.map
              (fun (c, s) ->
-               Common.J_obj
-                 (("config", Common.J_string (Tune.describe c))
+               Json.Obj
+                 (("config", Json.String (Tune.describe c))
                  :: score_json s))
              r.cr_defaults) );
       ( "improvement",
-        Common.J_float
+        Json.Float
           (if bd_s.Tune.sc_pps > 0.0 then
              t.Tune.t_score.Tune.sc_pps /. bd_s.Tune.sc_pps
            else 1.0) );
@@ -283,23 +284,23 @@ let run_placement ~duration_ms ~warmup_ms ~drain_ms ~input_pps =
   }
 
 let placement_json ~input_pps p =
-  Common.J_obj
+  Json.Obj
     [
-      ("graph", Common.J_string "skew4");
-      ("platform", Common.J_string skew_platform.Platform.p_name);
-      ("ports", Common.J_int skew_ports);
-      ("domains", Common.J_int skew_domains);
-      ("input_pps", Common.J_int input_pps);
-      ("regions", Common.J_int p.pl_regions);
-      ("static_busiest_cost", Common.J_int p.pl_static_busiest);
-      ("measured_busiest_cost", Common.J_int p.pl_measured_busiest);
+      ("graph", Json.String "skew4");
+      ("platform", Json.String skew_platform.Platform.p_name);
+      ("ports", Json.Int skew_ports);
+      ("domains", Json.Int skew_domains);
+      ("input_pps", Json.Int input_pps);
+      ("regions", Json.Int p.pl_regions);
+      ("static_busiest_cost", Json.Int p.pl_static_busiest);
+      ("measured_busiest_cost", Json.Int p.pl_measured_busiest);
       ( "reduction",
-        Common.J_float
+        Json.Float
           (1.0
           -. float_of_int p.pl_measured_busiest
              /. float_of_int (max 1 p.pl_static_busiest)) );
-      ("static_cpu_utilization", Common.J_float p.pl_static_util);
-      ("measured_cpu_utilization", Common.J_float p.pl_measured_util);
+      ("static_cpu_utilization", Json.Float p.pl_static_util);
+      ("measured_cpu_utilization", Json.Float p.pl_measured_util);
     ]
 
 (* --- the section -------------------------------------------------------- *)
@@ -347,12 +348,12 @@ let run () =
           /. float_of_int (max 1 placement.pl_static_busiest)))
     placement.pl_static_util placement.pl_measured_util;
   Common.write_json ~section:"tune"
-    (Common.J_obj
+    (Json.Obj
        [
-         ("section", Common.J_string "tune");
-         ("smoke", Common.J_bool !Common.smoke);
-         ("seed", Common.J_int seed);
-         ("budget", Common.J_int budget);
-         ("cells", Common.J_list (List.map cell_json results));
+         ("section", Json.String "tune");
+         ("smoke", Json.Bool !Common.smoke);
+         ("seed", Json.Int seed);
+         ("budget", Json.Int budget);
+         ("cells", Json.List (List.map cell_json results));
          ("placement", placement_json ~input_pps:placement_pps placement);
        ])

@@ -80,10 +80,9 @@ let print_stats driver =
 
 let print_pool_stats (st : Oclick_packet.Packet.Pool.stats) =
   Printf.printf
-    "pool: allocs=%d reuses=%d recycles=%d rejected=%d free=%d slab_free=%d \
-     heap_bufs=%d\n"
+    "pool: allocs=%d reuses=%d recycles=%d rejected=%d free=%d heap_bufs=%d\n"
     st.Oclick_packet.Packet.Pool.st_allocs st.st_reuses st.st_recycles
-    st.st_rejected st.st_free st.st_slab_free st.st_heap_bufs
+    st.st_rejected st.st_free st.st_heap_bufs
 
 (* Any element exposing a "routes" stat is a routing table (LookupIPRoute
    and friends) — same discovery rule as the testbed's report. *)
@@ -177,9 +176,9 @@ let set_meta obs router =
    deterministic. --rounds bounds the *working* rounds per domain; the
    run otherwise stops when every shard quiesces and every cut ring
    drains. *)
-let run_parallel ~rounds ~stats ~batch ~pool ~pool_bufsize ~compile ~fuse
-    ~domains ~ring_capacity ~watchdog_ms ~profile_partition ~writes ~reads
-    ~report ~report_json ~trace router devices =
+let run_parallel ~rounds ~stats ~batch ~pool ~compile ~fuse ~domains
+    ~ring_capacity ~watchdog_ms ~profile_partition ~writes ~reads ~report
+    ~report_json ~trace router devices =
   let want_obs = report || report_json || trace <> None in
   let t0 = Unix.gettimeofday () in
   let now () = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
@@ -243,12 +242,8 @@ let run_parallel ~rounds ~stats ~batch ~pool ~pool_bufsize ~compile ~fuse
     | Some a -> Oclick_obs.hooks ~now ~wall:true a.(shard) base
   in
   match
-    Oclick_parallel.Runner.create ~hooks_for ~devices ~batch ~pool
-      ~pool_buf_size:(if pool_bufsize = 0 then
-                        Oclick_packet.Packet.Pool.default_buf_size
-                      else pool_bufsize)
-      ~pool_slab:(pool_bufsize > 0) ~compile ~fuse ~ring_capacity ?weights
-      ~clock:now ~domains router
+    Oclick_parallel.Runner.create ~hooks_for ~devices ~batch ~pool ~compile
+      ~fuse ~ring_capacity ?weights ~clock:now ~domains router
   with
   | Error e -> Tool_common.die "%s" e
   | Ok runner ->
@@ -299,11 +294,9 @@ let run_parallel ~rounds ~stats ~batch ~pool ~pool_bufsize ~compile ~fuse
           print_obs ~driver ~rounds ~batch ~report ~report_json
             ~warnings:(List.rev !warnings) merged
 
-let run rounds stats batch pool pool_bufsize compile fuse fault fault_seed
-    domains ring_capacity watchdog_ms profile_partition writes reads report
+let run rounds stats batch pool compile fuse fault fault_seed domains
+    ring_capacity watchdog_ms profile_partition writes reads report
     report_json trace input =
-  if pool_bufsize < 0 || (pool_bufsize > 0 && pool_bufsize < 16) then
-    Tool_common.die "bad --pool-bufsize %d (must be 0 or >= 16)" pool_bufsize;
   if rounds < 0 then Tool_common.die "bad --rounds %d (must be >= 0)" rounds;
   if batch < 1 then Tool_common.die "bad --batch %d (must be at least 1)" batch;
   if domains < 1 then
@@ -333,9 +326,9 @@ let run rounds stats batch pool pool_bufsize compile fuse fault fault_seed
       (device_names router)
   in
   if domains > 1 then
-    run_parallel ~rounds ~stats ~batch ~pool ~pool_bufsize ~compile ~fuse
-      ~domains ~ring_capacity ~watchdog_ms ~profile_partition ~writes ~reads
-      ~report ~report_json ~trace router devices
+    run_parallel ~rounds ~stats ~batch ~pool ~compile ~fuse ~domains
+      ~ring_capacity ~watchdog_ms ~profile_partition ~writes ~reads ~report
+      ~report_json ~trace router devices
   else begin
   let injector =
     match fault with
@@ -372,12 +365,7 @@ let run rounds stats batch pool pool_bufsize compile fuse fault fault_seed
     }
   in
   let pool =
-    if pool then
-      Some
-        (if pool_bufsize = 0 then
-           Oclick_packet.Packet.Pool.create ~slab:false ()
-         else Oclick_packet.Packet.Pool.create ~buf_size:pool_bufsize ())
-    else None
+    if pool then Some (Oclick_packet.Packet.Pool.create ()) else None
   in
   (* The observability layer wraps the drop-counting hooks only when
      asked for, so plain runs keep the bare hot path. Cost column is
@@ -468,22 +456,12 @@ let pool_arg =
     value & flag
     & info [ "pool" ]
         ~doc:
-          "Allocate packets from a recycling free-list pool backed by an \
-           off-heap buffer arena: dropped and transmitted packets return \
-           to the pool and later allocations reuse their buffers with no \
-           copying (see README). With $(b,--domains) > 1 each domain gets \
-           a private pool.")
-
-let pool_bufsize_arg =
-  Arg.(
-    value
-    & opt int Oclick_packet.Packet.Pool.default_buf_size
-    & info [ "pool-bufsize" ] ~docv:"BYTES"
-        ~doc:
-          "Size of each off-heap arena buffer in the $(b,--pool) arena \
-           (default 2048: an MTU frame plus head/tailroom). Allocations \
-           that don't fit fall back to heap buffers. 0 disables the arena \
-           entirely, keeping pooled packets on GC-managed buffers.")
+          "Allocate packets from a recycling free-list pool of 2048-byte \
+           buffers: dropped and transmitted packets return to the pool and \
+           later allocations reuse their buffers with no copying (see \
+           README). With $(b,--domains) > 1 each domain gets a private \
+           pool, and packets crossing domains are recycled into the \
+           receiving domain's pool.")
 
 let compile_arg =
   Arg.(
@@ -612,8 +590,7 @@ let () =
   Tool_common.run_tool "oclick-run"
     "Run a Click configuration in the user-level driver."
     Term.(
-      const run $ rounds_arg $ stats_arg $ batch_arg $ pool_arg
-      $ pool_bufsize_arg $ compile_arg $ fuse_arg $ fault_arg $ fault_seed_arg
-      $ domains_arg $ ring_capacity_arg $ watchdog_ms_arg
-      $ profile_partition_arg $ write_arg $ read_arg $ report_arg
-      $ report_json_arg $ trace_arg $ Tool_common.input_arg)
+      const run $ rounds_arg $ stats_arg $ batch_arg $ pool_arg $ compile_arg
+      $ fuse_arg $ fault_arg $ fault_seed_arg $ domains_arg $ ring_capacity_arg
+      $ watchdog_ms_arg $ profile_partition_arg $ write_arg $ read_arg
+      $ report_arg $ report_json_arg $ trace_arg $ Tool_common.input_arg)

@@ -1,6 +1,3 @@
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 (* Unsafe fixed-width loads: compiler primitives that become single
    native load instructions (no per-byte composition, no per-access
    bounds check — callers hoist one range check over the whole region).
@@ -9,7 +6,6 @@ type bigstring =
    (RFC 1071 §2(B)), so the inner loop runs entirely in native order and
    pays a single [bswap16] at the end on little-endian machines. *)
 external by_get16u : bytes -> int -> int = "%caml_bytes_get16u"
-external bs_get16u : bigstring -> int -> int = "%caml_bigstring_get16u"
 external swap16 : int -> int = "%bswap16"
 
 let fold16 sum =
@@ -50,33 +46,7 @@ let ones_complement_sum buf ~pos ~len =
   if !i < stop then sum := !sum + tail_byte (Bytes.unsafe_get buf !i);
   finish_native !sum
 
-(* The same loop over an off-heap (bigstring) buffer — the slab-backed
-   packet representation's checksum path. *)
-let ones_complement_sum_big (buf : bigstring) ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim buf then
-    invalid_arg "Checksum.ones_complement_sum";
-  let sum = ref 0 in
-  let i = ref pos in
-  let stop = pos + len in
-  while !i + 8 <= stop do
-    let o = !i in
-    sum :=
-      !sum + bs_get16u buf o + bs_get16u buf (o + 2) + bs_get16u buf (o + 4)
-      + bs_get16u buf (o + 6);
-    i := o + 8
-  done;
-  while !i + 2 <= stop do
-    sum := !sum + bs_get16u buf !i;
-    i := !i + 2
-  done;
-  if !i < stop then
-    sum := !sum + tail_byte (Bigarray.Array1.unsafe_get buf !i);
-  finish_native !sum
-
 let checksum buf ~pos ~len = lnot (ones_complement_sum buf ~pos ~len) land 0xffff
-
-let checksum_big buf ~pos ~len =
-  lnot (ones_complement_sum_big buf ~pos ~len) land 0xffff
 
 let combine a b = fold16 (a + b)
 let finish sum = lnot sum land 0xffff

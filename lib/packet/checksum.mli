@@ -1,26 +1,15 @@
 (** The Internet checksum (RFC 1071) used by IP, ICMP, and UDP.
 
-    Both storage classes of the packet layer are served: GC-managed
-    [bytes] buffers and off-heap bigstring slabs (the [_big] variants).
-    All loops consume 8 bytes per iteration through unsafe fixed-width
+    The loop consumes 8 bytes per iteration through unsafe fixed-width
     word loads under a single hoisted bounds check. *)
-
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val ones_complement_sum : bytes -> pos:int -> len:int -> int
 (** 16-bit one's-complement sum of [len] bytes starting at [pos]; an odd
     trailing byte is padded with zero. The result is folded to 16 bits. *)
 
-val ones_complement_sum_big : bigstring -> pos:int -> len:int -> int
-(** {!ones_complement_sum} over an off-heap buffer. *)
-
 val checksum : bytes -> pos:int -> len:int -> int
 (** The Internet checksum: one's complement of {!ones_complement_sum},
     as a 16-bit value. *)
-
-val checksum_big : bigstring -> pos:int -> len:int -> int
-(** {!checksum} over an off-heap buffer. *)
 
 val combine : int -> int -> int
 (** One's-complement addition of two folded 16-bit partial sums, for

@@ -1,19 +1,10 @@
 (** The oclick packet abstraction.
 
-    A packet is a window onto a byte buffer, with headroom before the window
-    and tailroom after it — the same model as Click's [Packet]/Linux's
-    [sk_buff]. Prepending a header ({!push}) or stripping one ({!pull})
-    moves the window without copying, as long as room remains.
-
-    Since the zero-copy rework the buffer itself has two storage classes.
-    Pooled packets live {e off-heap}: each {!Pool} owns a [Bigarray] char
-    slab carved into fixed-size buffers, and a packet is a descriptor
-    (slab reference, base offset, window) the GC never has to trace or
-    move. Non-pooled packets ({!create}, {!of_bytes}, …), and pooled
-    packets that outgrow their slab buffer class ({!push} past a slab
-    buffer's capacity, {!realign}), use a GC-managed [Bytes] buffer. The
-    two representations are behaviourally identical; {!is_off_heap}
-    reports which one a packet currently uses.
+    A packet is a window onto one byte buffer, with headroom before the
+    window and tailroom after it — the same model as Click's
+    [Packet]/Linux's [sk_buff]. Prepending a header ({!push}) or stripping
+    one ({!pull}) moves the window without copying, as long as room
+    remains; past that the buffer is reallocated with the window intact.
 
     All multi-byte accessors are big-endian (network order), implemented
     as fixed-width word loads/stores under a single hoisted bounds check,
@@ -71,14 +62,7 @@ val id : t -> int
 
 val clone : t -> t
 (** Deep copy: buffer and annotations are duplicated (the copy gets its
-    own {!id}). Cloning an off-heap packet allocates a sibling buffer in
-    the same arena and performs one slab-to-slab blit of the used region;
-    if the arena is exhausted the clone degrades to a heap [Bytes]
-    buffer. Safe from any domain. *)
-
-val is_off_heap : t -> bool
-(** Whether the payload currently lives in a pool's off-heap slab (as
-    opposed to the GC-managed [Bytes] fallback). *)
+    own {!id}). Safe from any domain. *)
 
 val headroom : t -> int
 val tailroom : t -> int
@@ -87,15 +71,15 @@ val tailroom : t -> int
 
 val push : t -> int -> unit
 (** [push p n] prepends [n] uninitialized bytes (reallocating if headroom is
-    short, again like Click — an off-heap packet that outgrows its slab
-    buffer demotes to a heap [Bytes] buffer). *)
+    short, again like Click). *)
 
 val pull : t -> int -> unit
 (** [pull p n] strips [n] bytes from the front. Raises [Invalid_argument]
     if [n > length p]. *)
 
 val put : t -> int -> unit
-(** [put p n] extends the data window by [n] zero bytes at the tail. *)
+(** [put p n] extends the data window by [n] zero bytes at the tail
+    (reallocating if tailroom is short). *)
 
 val take : t -> int -> unit
 (** [take p n] trims [n] bytes from the tail. *)
@@ -116,14 +100,13 @@ val to_string : t -> string
 
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 (** [blit ~src ~src_pos ~dst ~dst_pos ~len] copies [len] bytes between
-    data windows, dispatching on each side's storage class (slab-to-slab
-    is a single memmove). Offsets are window-relative, like the
+    data windows with one memmove. Offsets are window-relative, like the
     accessors. *)
 
 val data_offset : t -> int
-(** Byte offset of the data window within the underlying buffer (for
-    off-heap packets, within the arena slab). Exposed for alignment
-    tracking; there is deliberately no way to reach the raw buffer. *)
+(** Byte offset of the data window within the underlying buffer.
+    Exposed for alignment tracking; there is deliberately no way to reach
+    the raw buffer. *)
 
 val checksum : t -> pos:int -> len:int -> int
 (** Internet checksum over a region of the data window. *)
@@ -142,20 +125,25 @@ val alignment : t -> int
 
 val realign : t -> modulus:int -> offset:int -> unit
 (** Move the data (copying within or into a fresh buffer) so that
-    [data_offset mod modulus = offset]. Used by the [Align] element.
-    Realigning an off-heap packet demotes it to a heap [Bytes] buffer
-    (a slab buffer's base offset is fixed). *)
+    [data_offset mod modulus = offset]. Used by the [Align] element. *)
 
 (** {2 Recycling pool}
 
-    A free list of dead packet descriptors backed by an off-heap buffer
-    arena, so the forwarding hot path neither allocates per packet nor
-    leaves buffers to the GC. {!recycle} pushes the descriptor — slot and
-    all — onto a free-list array (no copy); {!alloc} pops one and re-zeros
-    only its data window. Correctness relies on buffers never being
-    shared: {!Packet.clone} deep-copies, so no live packet aliases a
-    recycled one's storage, and {!recycle} marks packets so
-    double-recycling is a safe no-op.
+    A free list of dead packet descriptors, so the forwarding hot path
+    neither allocates per packet nor leaves buffers to the GC. {!recycle}
+    pushes the descriptor — buffer and all — onto a free-list array (no
+    copy); {!alloc} pops one and re-zeros only its data window.
+    Correctness relies on buffers never being shared: {!Packet.clone}
+    deep-copies, so no live packet aliases a recycled one's storage, and
+    {!recycle} marks packets so double-recycling is a safe no-op.
+
+    Buffers come in one size class, {!buf_size} bytes: a fresh descriptor
+    gets a zeroed buffer of that size even for a small request, so a
+    recycled descriptor serves any later request up to that size without
+    a new buffer (mixed frame sizes do not reallocate). A larger request
+    gets a buffer of its own, counted in [st_heap_bufs]. {!recycle}
+    takes back only packets whose buffer is at least the size class, so
+    no request up to that size ever has to replace a free-list buffer.
 
     Pools are single-domain-owned: the descriptor free list is
     unsynchronized, so the sharded runtime gives every domain its own
@@ -163,14 +151,10 @@ val realign : t -> modulus:int -> offset:int -> unit
     (in debug builds) that every later {!alloc}/{!recycle} comes from
     that same domain — a recycled packet can never be resurrected
     concurrently by another domain. Use {!detach} to hand an idle pool
-    over to a different domain.
-
-    The arena's {e slot} free list, by contrast, is lock-free: packets
-    handed across domains through SPSC rings carry their off-heap payload
-    with them and may be recycled into the consuming domain's pool, where
-    the foreign slot simply keeps circulating; slots freed by clone
-    fallbacks or descriptor finalizers return to the owning arena
-    atomically. Cross-domain handoff therefore moves no packet data. *)
+    over to a different domain. Packets themselves move between domains
+    freely: one handed across an SPSC ring crosses by reference, buffer
+    included, and is recycled into the consuming domain's pool, so
+    cross-domain handoff copies no packet data. *)
 module Pool : sig
   type packet = t
   type t
@@ -179,38 +163,32 @@ module Pool : sig
     st_allocs : int;  (** fresh descriptor allocations (free list empty) *)
     st_reuses : int;  (** allocations served from the free list *)
     st_recycles : int;  (** packets accepted back into the pool *)
-    st_rejected : int;  (** recycles refused (pool full or double-recycle) *)
+    st_rejected : int;
+        (** recycles refused (pool full, double-recycle, or a buffer
+            below the size class) *)
     st_free : int;  (** packets currently on the free list *)
-    st_slab_free : int;  (** arena buffers currently unallocated *)
     st_heap_bufs : int;
-        (** allocations that fell back to a heap [Bytes] buffer (request
-            larger than [buf_size], or arena exhausted) *)
+        (** buffers allocated beyond the size class (request larger than
+            {!buf_size}) *)
   }
 
-  val default_buf_size : int
-  (** Default slab buffer class: 2048 bytes, enough for an MTU-sized
-      frame plus default head/tailroom. *)
+  val buf_size : int
+  (** The buffer size class: 2048 bytes, enough for an MTU-sized frame
+      plus default head/tailroom. *)
 
-  val create :
-    ?capacity:int -> ?buf_size:int -> ?slab_bufs:int -> ?slab:bool -> unit -> t
-  (** A pool holding at most [capacity] (default 1024) free packets,
-      backed by an off-heap arena of [slab_bufs] (default [capacity])
-      buffers of [buf_size] (default {!default_buf_size}) bytes each.
-      [~slab:false] disables the arena entirely — every allocation uses
-      the heap [Bytes] representation (the pre-arena behaviour, kept as a
-      measurement baseline and escape hatch). *)
+  val create : ?capacity:int -> unit -> t
+  (** A pool holding at most [capacity] (default 1024) free packets. *)
 
   val alloc : t -> ?headroom:int -> ?tailroom:int -> int -> packet
   (** Like {!Packet.create}, but serves the packet from the pool: a
       recycled descriptor when one is available (re-zeroing its data
-      window and resetting annotations), an arena slab buffer when the
-      request fits [buf_size] and a slot is free, and a heap [Bytes]
-      buffer otherwise. *)
+      window and resetting annotations), a fresh one otherwise. *)
 
   val recycle : t -> packet -> unit
   (** Return a dead packet to the pool. The caller must not touch the
-      packet afterwards. Recycling the same packet twice, or into a full
-      pool, is a no-op counted in [st_rejected]. *)
+      packet afterwards. Recycling the same packet twice, into a full
+      pool, or with a buffer smaller than {!buf_size} is a no-op counted
+      in [st_rejected]. *)
 
   val detach : t -> unit
   (** Release the pool's domain claim so the next domain that touches it

@@ -30,14 +30,9 @@ let queue_capacity e =
   match List.assoc_opt "capacity" e#stats with Some c -> c | None -> 1000
 
 let create ?(hooks_for = fun _ -> Hooks.null) ?(devices = []) ?(batch = 1)
-    ?(pool = false) ?(pool_capacity = 1024)
-    ?(pool_buf_size = Packet.Pool.default_buf_size) ?(pool_slab = true)
-    ?(compile = false) ?(fuse = false) ?ring_capacity ?weights ?clock ~domains
-    graph =
-  let make_pool () =
-    Packet.Pool.create ~capacity:pool_capacity ~buf_size:pool_buf_size
-      ~slab:pool_slab ()
-  in
+    ?(pool = false) ?(pool_capacity = 1024) ?(compile = false) ?(fuse = false)
+    ?ring_capacity ?weights ?clock ~domains graph =
+  let make_pool () = Packet.Pool.create ~capacity:pool_capacity () in
   if domains < 1 then
     Error (Printf.sprintf "runner: bad domain count %d" domains)
   else if domains = 1 then begin

@@ -29,8 +29,6 @@ val create :
   ?batch:int ->
   ?pool:bool ->
   ?pool_capacity:int ->
-  ?pool_buf_size:int ->
-  ?pool_slab:bool ->
   ?compile:bool ->
   ?fuse:bool ->
   ?ring_capacity:int ->
@@ -52,11 +50,10 @@ val create :
     additionally runs the cross-element FDD fusion pass inside each
     shard's compilation (see [Oclick_fdd]; implies [compile]). [pool]
     (default false) gives each domain a private recycling pool of
-    [pool_capacity] packets backed by an off-heap buffer arena of
-    [pool_buf_size]-byte buffers (see {!Oclick_packet.Packet.Pool});
-    [pool_slab:false] keeps the pools on the heap-[Bytes]
-    representation. Packets crossing cut rings carry their off-heap
-    payload with them — the handoff moves descriptors only.
+    [pool_capacity] packets (see {!Oclick_packet.Packet.Pool}). Packets
+    crossing cut rings travel by reference, buffer included, and are
+    recycled into the consuming domain's pool — the handoff copies no
+    packet data.
 
     [weights] forwards measured per-element costs to
     {!Partition.compute}, so the LPT balance places shards by observed

@@ -7,9 +7,9 @@
     pair with no locks on the hot path.
 
     Slots hold elements directly (empty slots hold a caller-supplied
-    dummy value), so pushing allocates nothing: a packet descriptor
-    crosses the domain cut with its payload bytes staying put in the
-    off-heap arena and zero words added to either minor heap.
+    dummy value), so pushing allocates nothing: a packet crosses the
+    domain cut by reference, its buffer with it, with zero words added to
+    either minor heap.
 
     Exactly one domain may call {!push} and exactly one domain may call
     {!pop}/{!pop_into} (they may be the same domain). The indices are

@@ -234,6 +234,84 @@ let test_pool_grows_small_buffer () =
   check "still counts as reuse" 1
     (Packet.Pool.stats pool).Packet.Pool.st_reuses
 
+let zeroed p = String.for_all (fun c -> c = '\000') (Packet.to_string p)
+
+(* Mixed frame sizes share one size class: after the first round
+   creates the descriptors, every request is served by a recycled one
+   with the buffer it already has. The free list is LIFO, so each round
+   hands every descriptor a request of a different size than it served
+   last round. *)
+let test_pool_imix_reuse () =
+  let pool = Packet.Pool.create ~capacity:64 () in
+  let sizes = [| 64; 576; 1500 |] in
+  let templates =
+    Array.map (fun n -> Packet.of_string (String.make n 'x')) sizes
+  in
+  let burst = Array.make 32 (Packet.create 0) in
+  let class_sized = ref true in
+  let round () =
+    for i = 0 to 31 do
+      let len = sizes.(i mod 3) in
+      let p = Packet.Pool.alloc pool len in
+      Packet.blit ~src:templates.(i mod 3) ~src_pos:0 ~dst:p ~dst_pos:0 ~len;
+      if Packet.headroom p + len + Packet.tailroom p <> Packet.Pool.buf_size
+      then class_sized := false;
+      burst.(i) <- p
+    done;
+    for i = 0 to 31 do
+      Packet.Pool.recycle pool burst.(i)
+    done
+  in
+  round ();
+  let allocs = (Packet.Pool.stats pool).Packet.Pool.st_allocs in
+  let rounds = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do round () done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (rounds * 32) in
+  let st = Packet.Pool.stats pool in
+  check_bool "every buffer is the size class" true !class_sized;
+  check "no fresh descriptors once warm" allocs st.Packet.Pool.st_allocs;
+  check "no buffer beyond the size class" 0 st.Packet.Pool.st_heap_bufs;
+  check_bool
+    (Printf.sprintf "%.3f minor words per cycle <= 0.5" words)
+    true (words <= 0.5)
+
+(* Beyond the size class a request gets a buffer of its own, whether the
+   descriptor is fresh or recycled. *)
+let test_pool_oversize_request () =
+  let pool = Packet.Pool.create () in
+  let len = Packet.Pool.buf_size + 100 in
+  let p = Packet.Pool.alloc pool len in
+  check "length" len (Packet.length p);
+  check_bool "zeroed" true (zeroed p);
+  let r = Packet.Pool.alloc pool 64 in
+  for i = 0 to 63 do Packet.set_u8 r i 0xff done;
+  Packet.Pool.recycle pool r;
+  let q = Packet.Pool.alloc pool len in
+  check_bool "recycled descriptor served" true (q == r);
+  check "regrown length" len (Packet.length q);
+  check_bool "regrown window zeroed" true (zeroed q);
+  check "both counted beyond the size class" 2
+    (Packet.Pool.stats pool).Packet.Pool.st_heap_bufs
+
+(* A buffer below the size class (here a [Packet.create]d one, as an
+   ICMP error would be) is not taken back, so a later large request
+   gets a class buffer instead of displacing it. *)
+let test_pool_small_buffer_refused () =
+  let pool = Packet.Pool.create () in
+  let p = Packet.create 20 in
+  for i = 0 to 19 do Packet.set_u8 p i 0xff done;
+  Packet.Pool.recycle pool p;
+  let st = Packet.Pool.stats pool in
+  check "refused" 1 st.Packet.Pool.st_rejected;
+  check "free list empty" 0 st.Packet.Pool.st_free;
+  let q = Packet.Pool.alloc pool 1500 in
+  check_bool "fresh descriptor" false (p == q);
+  check "length" 1500 (Packet.length q);
+  check_bool "whole window zeroed" true (zeroed q);
+  check "class buffer, not counted" 0
+    (Packet.Pool.stats pool).Packet.Pool.st_heap_bufs
+
 (* --- headers ------------------------------------------------------------- *)
 
 let test_ether_encap () =
@@ -404,51 +482,47 @@ let prop_u32_byte_consistency =
       && Packet.get_u8 p 0 = (v lsr 24) land 0xff
       && Packet.get_u8 p 3 = v land 0xff)
 
-(* --- window edges, both representations ---------------------------------- *)
+(* --- window edges, fresh and pooled packets ------------------------------ *)
 
-(* The same logical packet built two ways: heap [Bytes] and off-heap
-   slab slot. Window adjustment must be observationally identical on
-   both — a slab packet that outgrows its slot silently demotes to the
-   heap representation without changing any visible behaviour. *)
+(* The same logical packet built two ways: [Packet.of_string] sizes its
+   buffer to the request, [Pool.alloc] hands out a size-class buffer.
+   Window adjustment must be observationally identical on both — past
+   the buffer's room the buffer is reallocated with the window intact. *)
 
-let heap_packet ?headroom ?tailroom data =
+let fresh_packet ?headroom ?tailroom data =
   Packet.of_string ?headroom ?tailroom data
 
-let slab_packet ?headroom ?tailroom data =
+let pooled_packet ?headroom ?tailroom data =
   let pool = Packet.Pool.create ~capacity:4 () in
   let p = Packet.Pool.alloc pool ?headroom ?tailroom (String.length data) in
   Packet.set_string p ~pos:0 data;
   p
 
-let test_slab_push_demotes () =
-  let p = slab_packet ~headroom:2 "xy" in
-  check_bool "starts off-heap" true (Packet.is_off_heap p);
-  Packet.push p 40 (* beyond slab headroom: must demote, not corrupt *);
-  check_bool "demoted to heap" false (Packet.is_off_heap p);
+let test_pooled_push_past_headroom () =
+  let p = pooled_packet ~headroom:2 "xy" in
+  Packet.push p 40 (* beyond headroom: must reallocate, not corrupt *);
   check "grown" 42 (Packet.length p);
   check_str "tail survives" "xy" (Packet.get_string p ~pos:40 ~len:2)
 
-let test_slab_put_demotes () =
-  let p = slab_packet "ab" in
-  (* A slab slot is Pool.default_buf_size bytes; extending past the
-     whole slot forces the Bytes fallback. *)
-  let n = Packet.Pool.default_buf_size + 8 in
+let test_pooled_put_past_tailroom () =
+  let p = pooled_packet "ab" in
+  (* A pooled buffer is Pool.buf_size bytes; extending past the whole
+     buffer forces a reallocation. *)
+  let n = Packet.Pool.buf_size + 8 in
   Packet.put p n;
-  check_bool "demoted to heap" false (Packet.is_off_heap p);
   check "extended" (2 + n) (Packet.length p);
   check_str "head survives" "ab" (Packet.get_string p ~pos:0 ~len:2);
   check "zero filled first" 0 (Packet.get_u8 p 2);
   check "zero filled last" 0 (Packet.get_u8 p (1 + n))
 
-let test_slab_exact_edges_stay_off_heap () =
-  let p = slab_packet ~headroom:8 "data" in
+let test_exact_edges_in_place () =
+  let p = pooled_packet ~headroom:8 "data" in
   Packet.push p 8 (* exactly the headroom: in-place, no growth *);
-  check_bool "off-heap after exact push" true (Packet.is_off_heap p);
   check "headroom exhausted" 0 (Packet.headroom p);
   let t = Packet.tailroom p in
-  Packet.put p t (* exactly the tailroom: fills the slot in place *);
-  check_bool "off-heap after exact put" true (Packet.is_off_heap p);
+  Packet.put p t (* exactly the tailroom: fills the buffer in place *);
   check "tailroom exhausted" 0 (Packet.tailroom p);
+  check "headroom still exhausted" 0 (Packet.headroom p);
   check_str "data intact at window head" "data"
     (Packet.get_string p ~pos:8 ~len:4)
 
@@ -476,10 +550,10 @@ let test_window_edge_bounds_both () =
     check (label ^ ": pushed back") len (Packet.length p);
     check_str (label ^ ": window restored") "abcd" (Packet.to_string p)
   in
-  run "heap" (heap_packet "abcd");
-  run "slab" (slab_packet "abcd")
+  run "fresh" (fresh_packet "abcd");
+  run "pooled" (pooled_packet "abcd")
 
-(* Drive both representations through the same sequence of window ops,
+(* Drive both packets through the same sequence of window ops,
    overwriting each pushed (uninitialized) region with a deterministic
    pattern so content comparison stays meaningful, and require identical
    geometry and bytes at every step. *)
@@ -496,29 +570,29 @@ let apply_window_op p code =
   | 2 -> Packet.put p (code mod 24)
   | _ -> if len > 0 then Packet.take p (code mod len)
 
-let prop_slab_heap_identical =
-  QCheck.Test.make ~name:"slab and heap windows behave identically"
+let prop_pooled_fresh_identical =
+  QCheck.Test.make ~name:"pooled and fresh windows behave identically"
     ~count:300
     QCheck.(pair (string_of_size (Gen.int_range 1 48)) (small_list small_nat))
     (fun (data, ops) ->
-      let h = heap_packet ~headroom:4 ~tailroom:4 data in
-      let s = slab_packet ~headroom:4 data in
+      let f = fresh_packet ~headroom:4 ~tailroom:4 data in
+      let p = pooled_packet ~headroom:4 data in
       List.iter
         (fun c ->
-          apply_window_op h c;
-          apply_window_op s c)
+          apply_window_op f c;
+          apply_window_op p c)
         ops;
-      Packet.length h = Packet.length s
-      && Packet.to_string h = Packet.to_string s)
+      Packet.length f = Packet.length p
+      && Packet.to_string f = Packet.to_string p)
 
-let prop_slab_demotion_preserves_window =
-  QCheck.Test.make ~name:"demotion preserves the data window" ~count:200
+let prop_growth_preserves_window =
+  QCheck.Test.make ~name:"growth preserves the data window" ~count:200
     QCheck.(pair (string_of_size (Gen.int_range 1 64)) (int_range 1 96))
     (fun (data, n) ->
-      let p = slab_packet ~headroom:0 data in
-      Packet.push p n (* headroom 0: any positive push demotes *);
+      let p = pooled_packet ~headroom:0 data in
+      Packet.push p n (* headroom 0: any positive push reallocates *);
       Packet.pull p n;
-      (not (Packet.is_off_heap p)) && Packet.to_string p = data)
+      Packet.to_string p = data)
 
 let () =
   Alcotest.run "packet"
@@ -564,13 +638,20 @@ let () =
             test_pool_copy_on_recycle;
           Alcotest.test_case "grows small buffer" `Quick
             test_pool_grows_small_buffer;
+          Alcotest.test_case "imix reuse" `Quick test_pool_imix_reuse;
+          Alcotest.test_case "oversize request" `Quick
+            test_pool_oversize_request;
+          Alcotest.test_case "small buffer refused" `Quick
+            test_pool_small_buffer_refused;
         ] );
       ( "window-edges",
         [
-          Alcotest.test_case "slab push demotes" `Quick test_slab_push_demotes;
-          Alcotest.test_case "slab put demotes" `Quick test_slab_put_demotes;
-          Alcotest.test_case "exact edges stay off-heap" `Quick
-            test_slab_exact_edges_stay_off_heap;
+          Alcotest.test_case "pooled push past headroom" `Quick
+            test_pooled_push_past_headroom;
+          Alcotest.test_case "pooled put past tailroom" `Quick
+            test_pooled_put_past_tailroom;
+          Alcotest.test_case "exact edges stay in place" `Quick
+            test_exact_edges_in_place;
           Alcotest.test_case "bounds, both representations" `Quick
             test_window_edge_bounds_both;
         ] );
@@ -593,7 +674,7 @@ let () =
             prop_checksum_matches_naive;
             prop_realign_preserves_data;
             prop_u32_byte_consistency;
-            prop_slab_heap_identical;
-            prop_slab_demotion_preserves_window;
+            prop_pooled_fresh_identical;
+            prop_growth_preserves_window;
           ] );
     ]

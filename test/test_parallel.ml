@@ -360,6 +360,44 @@ let test_pool_domain_ownership () =
   in
   check_bool "detached pool adopted" true ok
 
+(* A pooled packet crosses an SPSC ring by reference and is recycled
+   into the consuming domain's pool, which then serves it again. *)
+let test_pool_cross_domain_handoff () =
+  let pool = Pool.create ~capacity:8 () in
+  let p = Pool.alloc pool 64 in
+  for i = 0 to 63 do
+    Packet.set_u8 p i 0xab
+  done;
+  let id0 = Packet.id p in
+  let ring = Spsc.create ~dummy:(Packet.create 0) 4 in
+  let consumer =
+    Domain.spawn (fun () ->
+        let rec pop () =
+          match Spsc.pop ring with
+          | Some q -> q
+          | None ->
+              Domain.cpu_relax ();
+              pop ()
+        in
+        let q = pop () in
+        let seen = Packet.get_u8 q 63 in
+        let local = Pool.create ~capacity:8 () in
+        Pool.recycle local q;
+        let r = Pool.alloc local 64 in
+        ( r == q,
+          seen,
+          Packet.id r,
+          String.for_all (fun c -> c = '\000') (Packet.to_string r),
+          (Pool.stats local).Pool.st_reuses ))
+  in
+  check_bool "pushed" true (Spsc.push ring p);
+  let same, seen, id, zeroed, reuses = Domain.join consumer in
+  check "payload crossed intact" 0xab seen;
+  check_bool "same descriptor served again" true same;
+  check "served from the receiving pool's free list" 1 reuses;
+  check_bool "window zeroed" true zeroed;
+  check_bool "fresh id" true (id <> id0)
+
 (* --- multi-domain runner differential ------------------------------------ *)
 
 let runner_config =
@@ -516,6 +554,8 @@ let () =
         [
           Alcotest.test_case "domain ownership" `Quick
             test_pool_domain_ownership;
+          Alcotest.test_case "cross-domain handoff" `Quick
+            test_pool_cross_domain_handoff;
         ] );
       ( "runner",
         [

@@ -6,22 +6,7 @@
    one-line diagnostic on the first violation. *)
 
 module Json = Oclick_obs.Json
-
-let die fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline msg;
-      exit 1)
-    fmt
-
-let read_all ic =
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 4096
-     done
-   with End_of_file -> ());
-  Buffer.contents buf
+open Json_check
 
 (* The degradation/fusion sections every report carries, populated or
    not: consumers key on them unconditionally, so an absent or
@@ -93,11 +78,7 @@ let check_report label v =
   | _ -> ()
 
 let () =
-  let doc =
-    match Json.of_string (read_all stdin) with
-    | Ok v -> v
-    | Error e -> die "not valid JSON: %s" e
-  in
+  let doc = read_doc () in
   (match Json.member "tool" doc with
   | Some (Json.String _) -> ()
   | _ -> die "missing \"tool\" field");

@@ -8,32 +8,7 @@
    flake. Exits 1 with a one-line diagnostic on the first violation. *)
 
 module Json = Oclick_obs.Json
-
-let die fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline msg;
-      exit 1)
-    fmt
-
-let read_all ic =
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 4096
-     done
-   with End_of_file -> ());
-  Buffer.contents buf
-
-let number label = function
-  | Json.Int i -> float_of_int i
-  | Json.Float f -> f
-  | _ -> die "%s: not a number" label
-
-let get label obj field =
-  match Json.member field obj with
-  | Some v -> v
-  | None -> die "%s: missing %S" label field
+open Json_check
 
 let check_point ~label ~expected_load v =
   let offered = int_of_float (number label (get label v "offered_pps")) in
@@ -77,19 +52,7 @@ let check_curve ~loads v =
   | _ -> die "%s: points is not a list" label
 
 let () =
-  let input =
-    if Array.length Sys.argv > 1 then (
-      let ic = open_in Sys.argv.(1) in
-      let s = read_all ic in
-      close_in ic;
-      s)
-    else read_all stdin
-  in
-  let doc =
-    match Json.of_string input with
-    | Ok v -> v
-    | Error e -> die "not valid JSON: %s" e
-  in
+  let doc = read_doc () in
   (match Json.member "section" doc with
   | Some (Json.String "overload") -> ()
   | _ -> die "missing section=\"overload\"");
