@@ -17,6 +17,8 @@
 # refreshes BENCH_tune.json (the profile-guided autotuning cells and the
 # measured-cost placement comparison), and `make bench-all` regenerates
 # every committed BENCH_*.json in one go.
+# `make loc` prints the `*.ml` + `*.mli` line count of each lib/
+# directory and their total, the net size ROADMAP tracks beside pps.
 # `make perfbench-smoke` runs the layered benchmark (perfbench/) for 2 s
 # on each workload and fails unless every result line reports
 # "correct": true.
@@ -31,7 +33,7 @@
 .PHONY: all build test bench bench-smoke compile-smoke parallel-smoke \
 	bench-json bench-parallel bench-overload bench-lpm bench-fdd \
 	bench-tune bench-all obs-smoke overload-smoke lpm-smoke fdd-smoke \
-	tune-smoke perfbench-smoke clean
+	tune-smoke perfbench-smoke loc clean
 
 all: build
 
@@ -100,6 +102,12 @@ perfbench-smoke:
 	    *) echo "perfbench-smoke $$w: FAILED: $$line"; exit 1 ;; \
 	  esac; \
 	done
+
+loc:
+	@total=0; for d in lib/*/; do \
+	  n=$$(cat $$d*.ml $$d*.mli 2>/dev/null | wc -l); \
+	  printf '%-16s %6d\n' "$${d%/}" $$n; total=$$((total + n)); \
+	done; printf '%-16s %6d\n' total $$total
 
 clean:
 	dune clean

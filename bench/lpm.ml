@@ -6,10 +6,11 @@
    one-element rig (the route element with every output into a Discard)
    is driven with the same deterministic probe stream through all four
    datapath shapes — linear scan, trie scalar push, trie push_batch, and
-   the trie's compiled (fused-closure) decision path. All four pay the
-   same per-packet harness cost, so the ratios isolate the lookup
+   the trie's route leaf, the closure its compiled body and fused
+   regions call (Region.Route's [rt_make ~lean_work:true]). All four pay
+   the same per-packet harness cost, so the ratios isolate the lookup
    structure. A differential pass (same probes through the linear and
-   trie fused closures, comparing output port and gateway-rewritten
+   trie route leaves, comparing output port and gateway-rewritten
    destination) guards the numbers.
 
    Part two is the end-to-end check: the Fig. 8 two-interface router
@@ -18,7 +19,7 @@
    table-size-independent, so forwarding pps should not care. *)
 
 module Driver = Oclick_runtime.Driver
-module E = Oclick_runtime.Element
+module Region = Oclick_runtime.Region
 module Netdevice = Oclick_runtime.Netdevice
 module Router = Oclick_graph.Router
 module Packet = Oclick_packet.Packet
@@ -94,13 +95,16 @@ let batch_rate e probes reps =
   in
   (reps * chunks * batch_size, dt)
 
-let fused e =
-  match e#fuse { E.fc_out = (fun _ _ -> ()); E.fc_lean_work = true } with
-  | Some f -> f
-  | None -> failwith "lpm bench: element did not fuse"
+(* The element's route leaf, as its compiled body and fused regions
+   call it: look up, rewrite the gateway annotation, and return the
+   output port (-1 when the lookup consumed the packet). *)
+let route_leaf e =
+  match e#region_sem with
+  | Some (Region.Route { rt_make }) -> rt_make ~lean_work:true
+  | _ -> failwith "lpm bench: element has no route sem"
 
 let compiled_rate e probes reps =
-  let f = fused e in
+  let f = route_leaf e in
   let p = Packet.create 64 in
   let n = Array.length probes in
   let dt =
@@ -108,33 +112,24 @@ let compiled_rate e probes reps =
         for _ = 1 to reps do
           for i = 0 to n - 1 do
             (Packet.anno p).Packet.dst_ip <- probes.(i);
-            f p
+            ignore (f p)
           done
         done)
   in
   (reps * n, dt)
 
-(* Same probes through both backends' fused closures, comparing output
+(* Same probes through both backends' route leaves, comparing output
    port and (gateway-rewritten) destination annotation. *)
 let differential linear_e trie_e probes =
-  let port = ref (-1) in
-  let ctx = { E.fc_out = (fun o _ -> port := o); E.fc_lean_work = true } in
-  let f_lin =
-    match linear_e#fuse ctx with Some f -> f | None -> failwith "no fuse"
-  and f_trie =
-    match trie_e#fuse ctx with Some f -> f | None -> failwith "no fuse"
-  in
+  let f_lin = route_leaf linear_e and f_trie = route_leaf trie_e in
   let p = Packet.create 64 in
   Array.for_all
     (fun dst ->
       (Packet.anno p).Packet.dst_ip <- dst;
-      port := -1;
-      f_lin p;
-      let lin_port = !port and lin_dst = (Packet.anno p).Packet.dst_ip in
+      let lin_port = f_lin p in
+      let lin_dst = (Packet.anno p).Packet.dst_ip in
       (Packet.anno p).Packet.dst_ip <- dst;
-      port := -1;
-      f_trie p;
-      !port = lin_port && (Packet.anno p).Packet.dst_ip = lin_dst)
+      f_trie p = lin_port && (Packet.anno p).Packet.dst_ip = lin_dst)
     probes
 
 let variant_json name extra (lookups, dt) =

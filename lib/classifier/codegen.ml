@@ -1,46 +1,3 @@
-(* Closure backend for the whole-graph datapath compiler: the decision
-   tree as nested OCaml closures, with the per-packet reader applied
-   directly (no reader-closure allocation per packet). Shared subtrees
-   share closures via the node memo — the paper's dominator trick (§4.1)
-   keeps code size at DAG size, not tree size. The visited count threads
-   through so callers can charge classification work exactly like the
-   interpreted walk. *)
-let closures (t : Tree.t) ~(leaf : int -> Oclick_packet.Packet.t -> int -> unit)
-    =
-  let leaf_memo = Hashtbl.create 8 in
-  let leaf_fn k =
-    match Hashtbl.find_opt leaf_memo k with
-    | Some f -> f
-    | None ->
-        let f = leaf k in
-        Hashtbl.replace leaf_memo k f;
-        f
-  in
-  let memo : (Oclick_packet.Packet.t -> int -> unit) option array =
-    Array.make (Array.length t.nodes) None
-  in
-  let rec target_fn = function
-    | Tree.Leaf k -> leaf_fn k
-    | Tree.Node i -> node_fn i
-
-  and node_fn i =
-    match memo.(i) with
-    | Some f -> f
-    | None ->
-        let n = t.nodes.(i) in
-        let offset = n.offset and mask = n.mask and value = n.value in
-        let yes = target_fn n.yes and no = target_fn n.no in
-        let f p visited =
-          if Tree.packet_read p offset land mask = value then
-            yes p (visited + 1)
-          else no p (visited + 1)
-        in
-        memo.(i) <- Some f;
-        f
-  in
-  let entry = target_fn t.root in
-  fun p -> entry p 0
-
 let target_expr = function
   | Tree.Leaf k when k = Tree.drop -> "drop p"
   | Tree.Leaf k -> Printf.sprintf "output %d p" k

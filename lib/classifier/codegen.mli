@@ -3,25 +3,13 @@
     Click's tool writes C++ element classes into the configuration archive
     and lets the router compile and dynamically link them (paper §4). This
     module plays the same role, emitting OCaml element-class source that
-    mirrors Fig. 3b; the in-process registry hook installs the equivalent
-    {!Compile}d implementation, standing in for Click's dynamic linker
-    (see DESIGN.md §5). *)
+    mirrors Fig. 3b into the archive. The in-process registry hook stands
+    in for Click's dynamic linker (see DESIGN.md §5): it installs a
+    FastClassifier class that walks the archived tree with
+    {!Tree.classify_packed} and charges the testbed's specialized-code
+    cost. *)
 
 val ocaml_source : class_name:string -> original_config:string -> Tree.t -> string
 (** A complete, human-readable OCaml module implementing the specialized
     classifier: one [step_N] function per decision-tree node, constants
     inlined. *)
-
-val closures :
-  Tree.t ->
-  leaf:(int -> Oclick_packet.Packet.t -> int -> unit) ->
-  Oclick_packet.Packet.t ->
-  unit
-(** Closure backend for the whole-graph datapath compiler
-    ({!Oclick_compile}): the decision tree as nested closures with
-    shared-subtree dedup (§4.1's dominator sharing — DAG-shared nodes
-    compile once). [leaf k], called once per distinct leaf target
-    (including {!Tree.drop}), supplies the continuation; at run time it
-    receives the packet and the number of nodes visited, exactly the
-    count {!Tree.classify_count} reports, so work charges match the
-    interpreted walk bit for bit. *)

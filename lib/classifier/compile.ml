@@ -22,31 +22,6 @@ let compile (t : Tree.t) =
   let entry = target_fn t.root in
   fun ~read -> entry read
 
-let compile_count (t : Tree.t) =
-  let memo : ((int -> int) -> int -> int * int) option array =
-    Array.make (Array.length t.nodes) None
-  in
-  let rec target_fn = function
-    | Tree.Leaf k -> fun _ visited -> (k, visited)
-    | Tree.Node i -> node_fn i
-
-  and node_fn i =
-    match memo.(i) with
-    | Some f -> f
-    | None ->
-        let n = t.nodes.(i) in
-        let offset = n.offset and mask = n.mask and value = n.value in
-        let yes = target_fn n.yes and no = target_fn n.no in
-        let f read visited =
-          if read offset land mask = value then yes read (visited + 1)
-          else no read (visited + 1)
-        in
-        memo.(i) <- Some f;
-        f
-  in
-  let entry = target_fn t.root in
-  fun ~read -> entry read 0
-
 let compile_packet t =
   let fast = compile t in
   fun p -> fast ~read:(Tree.packet_read p)

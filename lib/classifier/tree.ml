@@ -29,35 +29,21 @@ let depth t =
   in
   go t.root
 
-let classify_read_count t ~read =
-  let rec go target count =
-    match target with
-    | Leaf k -> (k, count)
-    | Node i ->
-        let n = t.nodes.(i) in
-        if read n.offset land n.mask = n.value then go n.yes (count + 1)
-        else go n.no (count + 1)
-  in
-  go t.root 0
-
-let classify_read t ~read = fst (classify_read_count t ~read)
-
-let packet_read p off =
+(* Reads that cross the end of the packet see zero bytes. That path is
+   rare and kept out of line, so [packet_read] inlines into the walk. *)
+let packet_read_padded p off =
   let len = Oclick_packet.Packet.length p in
-  if off + 4 <= len then Oclick_packet.Packet.get_u32 p off
-  else begin
-    let byte i =
-      if i < len then Oclick_packet.Packet.get_u8 p i else 0
-    in
-    (byte off lsl 24) lor (byte (off + 1) lsl 16)
-    lor (byte (off + 2) lsl 8)
-    lor byte (off + 3)
-  end
+  let byte i = if i < len then Oclick_packet.Packet.get_u8 p i else 0 in
+  (byte off lsl 24) lor (byte (off + 1) lsl 16)
+  lor (byte (off + 2) lsl 8)
+  lor byte (off + 3)
 
-let classify t p = classify_read t ~read:(packet_read p)
-let classify_count t p = classify_read_count t ~read:(packet_read p)
+let[@inline] packet_read p off =
+  if off + 4 <= Oclick_packet.Packet.length p then
+    Oclick_packet.Packet.get_u32 p off
+  else packet_read_padded p off
 
-(* Packed-result walk for per-packet datapaths: a top-level recursion
+(* The one classification walk: a top-level recursion from node to node
    over the packet directly (no [read] closure, no inner [go] closure,
    no result tuple), so classifying a packet allocates nothing. The
    visited count saturates at [packed_visited_max] — far beyond any
@@ -65,19 +51,27 @@ let classify_count t p = classify_read_count t ~read:(packet_read p)
 let packed_visited_bits = 20
 let packed_visited_max = (1 lsl packed_visited_bits) - 1
 
-let rec walk_packet t p target count =
-  match target with
+let rec walk_node nodes p n count =
+  let count = if count < packed_visited_max then count + 1 else count in
+  let next =
+    if packet_read p n.offset land n.mask = n.value then n.yes else n.no
+  in
+  match next with
   | Leaf k -> ((k + 1) lsl packed_visited_bits) lor count
-  | Node i ->
-      let n = t.nodes.(i) in
-      let count = if count < packed_visited_max then count + 1 else count in
-      if packet_read p n.offset land n.mask = n.value then
-        walk_packet t p n.yes count
-      else walk_packet t p n.no count
+  | Node i -> walk_node nodes p nodes.(i) count
 
-let classify_packed t p = walk_packet t p t.root 0
+let classify_packed t p =
+  match t.root with
+  | Leaf k -> (k + 1) lsl packed_visited_bits
+  | Node i -> walk_node t.nodes p t.nodes.(i) 0
+
 let packed_output v = (v asr packed_visited_bits) - 1
 let packed_visited v = v land packed_visited_max
+let classify t p = packed_output (classify_packed t p)
+
+let classify_count t p =
+  let v = classify_packed t p in
+  (packed_output v, packed_visited v)
 
 let target_to_string = function
   | Node i -> string_of_int i
@@ -109,6 +103,32 @@ let target_of_string s =
     match int_of_string_opt s with
     | Some i when i >= 0 -> Some (Node i)
     | _ -> None
+
+(* A dump comes from outside the program, and the walk trusts its
+   tree: every node target must name a node of the dump, and the nodes
+   must form a DAG, or the walk would index out of bounds or never
+   return. *)
+let check_dag t =
+  let n = Array.length t.nodes in
+  (* 0: not yet seen, 1: on the current path, 2: checked *)
+  let state = Array.make n 0 in
+  let rec visit = function
+    | Leaf _ -> Ok ()
+    | Node i when i >= n ->
+        Error (Printf.sprintf "node target %d past the %d nodes" i n)
+    | Node i when state.(i) = 1 ->
+        Error (Printf.sprintf "cycle through node %d" i)
+    | Node i when state.(i) = 2 -> Ok ()
+    | Node i ->
+        state.(i) <- 1;
+        Result.bind (visit t.nodes.(i).yes) (fun () ->
+            Result.map (fun () -> state.(i) <- 2) (visit t.nodes.(i).no))
+  in
+  let rec from i =
+    if i = n then Result.map (fun () -> t) (visit t.root)
+    else Result.bind (visit (Node i)) (fun () -> from (i + 1))
+  in
+  from 0
 
 let of_string s =
   let lines =
@@ -150,6 +170,9 @@ let of_string s =
                     | Some (i, off, mask, value, yes_s, no_s) ->
                         if i <> expected then
                           Error (Printf.sprintf "node %d out of order" i)
+                        else if off < 0 then
+                          Error
+                            (Printf.sprintf "node %d: negative offset %d" i off)
                         else (
                           match
                             (target_of_string yes_s, target_of_string no_s)
@@ -163,7 +186,7 @@ let of_string s =
               match build [] 0 rest with
               | Error e -> Error e
               | Ok nodes ->
-                  Ok { nodes = Array.of_list nodes; root; noutputs })))
+                  check_dag { nodes = Array.of_list nodes; root; noutputs })))
 
 let renumber t =
   let order = Hashtbl.create 16 in

@@ -36,29 +36,36 @@ val node_count : t -> int
 val depth : t -> int
 (** Longest root-to-leaf path (0 for a trivial tree). *)
 
-(** {2 Classification} *)
+(** {2 Classification}
 
-val classify_read : t -> read:(int -> int) -> int
-(** Walk the tree. [read off] must return the big-endian 32-bit word at
-    byte offset [off] (zero-padded). Returns the output port, or {!drop}. *)
-
-val classify_read_count : t -> read:(int -> int) -> int * int
-(** Like {!classify_read} but also returns the number of nodes visited. *)
+    {!classify_packed} is the one walk every datapath runs: the
+    interpreted classifiers, the FastClassifier classes, the per-element
+    bodies the graph compiler derives from them, and both bodies of a
+    fused decision diagram. The other functions decode its result. *)
 
 val packet_read : Oclick_packet.Packet.t -> int -> int
-(** Zero-padded big-endian word read for {!classify_read}. *)
-
-val classify : t -> Oclick_packet.Packet.t -> int
-val classify_count : t -> Oclick_packet.Packet.t -> int * int
+(** [packet_read p off]: the big-endian 32-bit word at byte offset
+    [off], zero-padded past the end of the packet. *)
 
 val classify_packed : t -> Oclick_packet.Packet.t -> int
-(** {!classify_count} with the result packed into one immediate int —
-    decode with {!packed_output}/{!packed_visited}. Performs no
-    allocation, for per-packet datapaths. The visited count saturates
-    at 2{^20}-1. *)
+(** Walk the tree. The output port (or {!drop}) and the number of nodes
+    visited come packed into one immediate int — decode with
+    {!packed_output}/{!packed_visited}. Performs no allocation, for
+    per-packet datapaths. The visited count saturates at 2{^20}-1. *)
 
 val packed_output : int -> int
 val packed_visited : int -> int
+
+val packed_visited_bits : int
+(** [v asr packed_visited_bits] is the leaf slot of a packed result:
+    [packed_output v + 1], so 0 for {!drop} and [k + 1] for output [k].
+    It indexes a per-leaf continuation array directly. *)
+
+val classify : t -> Oclick_packet.Packet.t -> int
+(** The output port of {!classify_packed}. *)
+
+val classify_count : t -> Oclick_packet.Packet.t -> int * int
+(** The output port and the visited count of {!classify_packed}. *)
 
 (** {2 The dump format}
 
@@ -72,7 +79,9 @@ val to_string : t -> string
     nodes. *)
 
 val of_string : string -> (t, string) result
-(** Parses {!to_string} output. *)
+(** Parses {!to_string} output. Rejects a dump whose node targets name
+    no node of the dump, whose offsets are negative, or whose nodes do
+    not form a DAG: the walk trusts the tree it is given. *)
 
 val equal : t -> t -> bool
 (** Structural equality of reachable behaviour: node arrays and roots are

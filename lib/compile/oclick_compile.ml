@@ -87,8 +87,8 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
             if fuse then Fdd.plan_regions elements out hooks
             else Array.make n None
           in
-          (* Per-element fused bodies, memoized; [building] marks the
-             elements whose fuse is in progress so a cycle reaching back
+          (* Per-element compiled bodies, memoized; [building] marks the
+             elements whose body is in progress so a cycle reaching back
              into one of them takes the dynamic-dispatch fallback instead
              of recursing forever. [vectors] holds a region root's vector
              body once its diagram is compiled. *)
@@ -111,7 +111,7 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
               building.(i) <- true;
               (* A region root runs its decision diagram in place of the
                  element's own body; everything else — or everything,
-                 without [fuse] — runs its per-element fused body. *)
+                 without [fuse] — runs its per-element body. *)
               let r =
                 match plans.(i) with
                 | Some plan ->
@@ -128,19 +128,24 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
                     regions := f.Fdd.fu_region :: !regions;
                     vectors.(i) <- Some f.Fdd.fu_vector;
                     Some f.Fdd.fu_scalar
-                | None ->
-                    (* [fc_out] resolves the connection closure at fuse
-                       time, so the per-packet body chains fused
-                       neighbours with a direct call — no memo lookup on
-                       the hot path. Recursion is safe: resolving a
-                       connection may fuse the destination, and the
-                       [building] flags break cycles into dynamic
-                       fallbacks. *)
-                    let ctx =
-                      { Element.fc_out = (fun port -> conn i port);
-                        fc_lean_work = lean_work }
-                    in
-                    elements.(i)#fuse ctx
+                | None -> (
+                    (* The body resolves its connection closures when it
+                       is built, so it chains compiled neighbours with a
+                       direct call — no memo lookup on the hot path.
+                       Recursion is safe: resolving a connection may
+                       build the destination's body, and the [building]
+                       flags break cycles into dynamic fallbacks. An
+                       element with a sem gets the body the sem
+                       describes; only the others supply their own. *)
+                    let out port = conn i port in
+                    match elements.(i)#region_sem with
+                    | Some sem ->
+                        Some
+                          (Fdd.body sem ~noutputs:elements.(i)#noutputs
+                             ~lean_work ~out)
+                    | None ->
+                        elements.(i)#fuse
+                          { Element.fc_out = out; fc_lean_work = lean_work })
               in
               building.(i) <- false;
               attempted.(i) <- true;

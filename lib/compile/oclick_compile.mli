@@ -12,22 +12,24 @@
       port-array lookup, no option match, no transfer-record allocation,
       and — when the installed hooks are the no-op {!Hooks.null} ones —
       no hook call at all.
-    - {b chain fusion} — elements that implement {!Element.base.fuse}
-      (every [simple_action] element, the classifiers, LookupIPRoute —
-      whose fused body calls the DIR-24-8 trie directly —
-      Queue) contribute their per-packet body directly, so a maximal run
-      of such elements collapses into one nested closure: a packet
-      crosses CheckIPHeader → DecIPTTL → … in straight-line calls.
-    - {b compiled classifiers} — classifier dispatch inside compiled
-      segments runs the decision tree as nested closures with
-      shared-subtree dedup ({!Oclick_classifier.Codegen.closures}).
+    - {b chain fusion} — every element with a compiled body contributes
+      it directly, so a maximal run of such elements collapses into one
+      nested closure: a packet crosses CheckIPHeader → DecIPTTL → … in
+      straight-line calls. An element with a {!Oclick_runtime.Region.sem}
+      (paints, guards, the classifiers, the route lookups, the combos)
+      gets the body its sem describes ({!Oclick_fdd.body}): a classifier
+      runs one {!Oclick_classifier.Tree.classify_packed} walk and jumps
+      through a per-leaf continuation array, a route lookup calls its
+      table (the DIR-24-8 trie) directly. Only elements without a sem
+      supply their own {!Element.base.fuse} body ([simple_action]'s
+      generic one, Discard, Counter, Queue).
 
     Semantics are bit-identical to the interpreted path: mangle
     (fault injection), quarantine checks, fault containment and drop
     attribution, work charges, and — when observation is on — the exact
     per-hop hook event sequence are all preserved, so outcome totals,
     drop reasons, conservation balances and obs ledgers are equal by
-    construction. Elements without a fused body (devices, ARP, Tee,
+    construction. Elements without a compiled body (devices, ARP, Tee,
     ICMPError, …) keep dynamic [push] dispatch behind a compiled
     connection: compilation degrades per element, never per graph.
 
@@ -39,7 +41,7 @@
 
 type stats = {
   st_connections : int;  (** push connections devirtualized *)
-  st_fused : int;  (** elements contributing fused per-packet bodies *)
+  st_fused : int;  (** elements contributing compiled per-packet bodies *)
   st_fallbacks : int;  (** connections delivering via dynamic dispatch *)
   st_regions : Oclick_fdd.region list;
       (** cross-element regions fused into single decision diagrams

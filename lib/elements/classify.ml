@@ -1,38 +1,18 @@
 (* The generic classification elements. Each compiles its configuration
-   into a decision tree at configure time and *interprets* that tree per
-   packet (paper Fig. 3a) — the behaviour click-fastclassifier replaces
-   with specialized code.
+   into a decision tree at configure time and walks that tree per packet
+   with Tree.classify_packed (paper Fig. 3a). Under the graph compiler
+   the element's body comes from its Classify sem, which runs the same
+   walk.
 
    [register_fast_classifier] installs a generated class whose instances
-   run the closure-compiled tree instead: this is the runtime half of
+   walk the tree click-fastclassifier optimized and archived, charged as
+   the paper's specialized code: the runtime half of
    click-fastclassifier, standing in for Click's dynamic linking of
    generated C++. *)
 
 open Prelude
 module Tree = Oclick_classifier.Tree
 module Optimize = Oclick_classifier.Optimize
-module Compile = Oclick_classifier.Compile
-module Codegen = Oclick_classifier.Codegen
-
-(* The fused classifier body shared by the tree-interpreting and
-   fast-classifier elements: the decision tree compiled to nested
-   closures (Codegen.closures), each leaf charging the same work the
-   scalar push charges — with the identical visited count, so cost
-   ledgers match the interpreted run exactly — and continuing straight
-   into the compiled connection for its output port. *)
-let fuse_classifier ctx tree ~noutputs ~charge ~on_invalid =
-  let lean = ctx.E.fc_lean_work in
-  let leaf k =
-    let finish =
-      if k >= 0 && k < noutputs then ctx.E.fc_out k else on_invalid
-    in
-    if lean then fun p _visited -> finish p
-    else
-      fun p visited ->
-        charge visited;
-        finish p
-  in
-  Codegen.closures tree ~leaf
 
 class virtual tree_classifier name =
   object (self)
@@ -41,6 +21,9 @@ class virtual tree_classifier name =
     val mutable dropped = 0
     val mutable port_scratch : int array = [||]
     method virtual private build_tree : string -> (Tree.t, string) result
+
+    (* The work kind a walk of [visited] nodes is charged as. *)
+    method private work visited = Hooks.W_classify_interp visited
     method! port_count = "1/-"
     method! processing = "h/h"
     method tree = tree
@@ -56,7 +39,7 @@ class virtual tree_classifier name =
       let packed = Tree.classify_packed tree p in
       let out = Tree.packed_output packed in
       if not self#lean_work then
-        self#charge (Hooks.W_classify_interp (Tree.packed_visited packed));
+        self#charge (self#work (Tree.packed_visited packed));
       if out >= 0 && out < self#noutputs then self#output out p
       else begin
         dropped <- dropped + 1;
@@ -87,26 +70,17 @@ class virtual tree_classifier name =
               self#drop ~reason:"element fault" batch.(i);
               ports.(i) <- consumed
       done;
-      if !visited_total > 0 then
-        self#charge (Hooks.W_classify_interp !visited_total);
+      if !visited_total > 0 then self#charge (self#work !visited_total);
       emit_runs self ports batch n ~on_invalid:(fun p ->
           dropped <- dropped + 1;
           self#drop ~reason:"classified to no output" p)
-
-    method! fuse ctx =
-      Some
-        (fuse_classifier ctx tree ~noutputs:self#noutputs
-           ~charge:(fun v -> self#charge (Hooks.W_classify_interp v))
-           ~on_invalid:(fun p ->
-             dropped <- dropped + 1;
-             self#drop ~reason:"classified to no output" p))
 
     method! region_sem =
       Some
         (Region.Classify
            {
              cl_tree = tree;
-             cl_charge = (fun v -> self#charge (Hooks.W_classify_interp v));
+             cl_charge = (fun v -> self#charge (self#work v));
              cl_invalid =
                (fun p ->
                  dropped <- dropped + 1;
@@ -146,77 +120,16 @@ class ip_filter name =
   end
 
 (* A FastClassifier instance: the tree is already built and optimized by
-   the tool; classification runs compiled closures. *)
+   the tool, and its walks are charged as specialized code. *)
 class fast_classifier cls name (t : Tree.t) =
-  object (self)
-    inherit E.base name
-    val compiled = Compile.compile_count t
-    val mutable dropped = 0
-    val mutable port_scratch : int array = [||]
+  object
+    inherit tree_classifier name
+    val! mutable tree = t
     method class_name = cls
-    method! port_count = "1/-"
-    method! processing = "h/h"
+    method private build_tree _ = Ok t
     method! configure _ = Ok () (* the tree is baked in *)
-
-    method! push _ p =
-      let out, visited = compiled ~read:(Tree.packet_read p) in
-      if not self#lean_work then
-        self#charge (Hooks.W_classify_compiled visited);
-      if out >= 0 && out < self#noutputs then self#output out p
-      else begin
-        dropped <- dropped + 1;
-        self#drop ~reason:"classified to no output" p
-      end
-
-    method! push_batch _ batch =
-      let n = Array.length batch in
-      if Array.length port_scratch < n then port_scratch <- Array.make n 0;
-      let ports = port_scratch in
-      let visited_total = ref 0 in
-      for i = 0 to n - 1 do
-        if self#is_quarantined then begin
-          self#drop ~reason:"quarantined element" batch.(i);
-          ports.(i) <- consumed
-        end
-        else
-          match compiled ~read:(Tree.packet_read batch.(i)) with
-          | out, visited ->
-              visited_total := !visited_total + visited;
-              self#note_ok;
-              ports.(i) <- out
-          | exception e when not (E.fatal e) ->
-              self#record_fault (Printexc.to_string e);
-              self#drop ~reason:"element fault" batch.(i);
-              ports.(i) <- consumed
-      done;
-      if !visited_total > 0 then
-        self#charge (Hooks.W_classify_compiled !visited_total);
-      emit_runs self ports batch n ~on_invalid:(fun p ->
-          dropped <- dropped + 1;
-          self#drop ~reason:"classified to no output" p)
-
-    method! fuse ctx =
-      Some
-        (fuse_classifier ctx t ~noutputs:self#noutputs
-           ~charge:(fun v -> self#charge (Hooks.W_classify_compiled v))
-           ~on_invalid:(fun p ->
-             dropped <- dropped + 1;
-             self#drop ~reason:"classified to no output" p))
-
-    method! region_sem =
-      Some
-        (Region.Classify
-           {
-             cl_tree = t;
-             cl_charge = (fun v -> self#charge (Hooks.W_classify_compiled v));
-             cl_invalid =
-               (fun p ->
-                 dropped <- dropped + 1;
-                 self#drop ~reason:"classified to no output" p);
-           })
-
-    method! stats =
-      [ ("nodes", Tree.node_count t); ("dropped", dropped) ]
+    method! private work visited = Hooks.W_classify_compiled visited
+    method! stats = [ ("nodes", Tree.node_count t); ("dropped", dropped) ]
   end
 
 let register_fast_classifier ~class_name (t : Tree.t) =

@@ -57,58 +57,43 @@ class ip_input_combo name =
          end
       && not (List.mem (Ip.src p) bad_src)
 
-    method! push _ p =
+    (* The combo's body: paint, pull the link header, check, trim
+       padding, extract the address; [false] once a failure diverted
+       the packet through output 1 or an accounted drop. *)
+    method private pass p =
       let anno = Packet.anno p in
       anno.Packet.paint <- color;
-      if Packet.length p < 14 then self#drop ~reason:"no link header" p
+      if Packet.length p < 14 then begin
+        self#drop ~reason:"no link header" p;
+        false
+      end
       else begin
         Packet.pull p 14;
         if self#header_ok p then begin
           let excess = Packet.length p - Ip.total_length p in
           if excess > 0 then Packet.take p excess;
           anno.Packet.dst_ip <- Packet.get_u32 p 16;
-          self#output 0 p
+          true
         end
         else begin
           drops <- drops + 1;
           if self#noutputs > 1 then self#output 1 p
-          else self#drop ~reason:"bad IP header" p
+          else self#drop ~reason:"bad IP header" p;
+          false
         end
       end
 
+    method! push _ p = if self#pass p then self#output 0 p
+
     method! region_sem =
-      (* The combo behaves as one guard: paint, pull the link header
-         (hence the 14-byte shift for hoisted downstream tests), check,
-         trim padding (hence the barrier), extract the address. Failures
-         divert through output 1 / accounted drops, exactly as [push]. *)
+      (* One guard: the 14-byte pull shifts hoisted downstream tests, and
+         the padding trim makes it a barrier. *)
       Some
         (Region.Guard
            {
              gd_shift = 14;
              gd_barrier = true;
-             gd_run =
-               (fun p ->
-                 let anno = Packet.anno p in
-                 anno.Packet.paint <- color;
-                 if Packet.length p < 14 then begin
-                   self#drop ~reason:"no link header" p;
-                   false
-                 end
-                 else begin
-                   Packet.pull p 14;
-                   if self#header_ok p then begin
-                     let excess = Packet.length p - Ip.total_length p in
-                     if excess > 0 then Packet.take p excess;
-                     anno.Packet.dst_ip <- Packet.get_u32 p 16;
-                     true
-                   end
-                   else begin
-                     drops <- drops + 1;
-                     if self#noutputs > 1 then self#output 1 p
-                     else self#drop ~reason:"bad IP header" p;
-                     false
-                   end
-                 end);
+             gd_run = (fun p -> self#pass p);
            })
 
     method! stats = [ ("drops", drops) ]
@@ -163,18 +148,24 @@ class ip_output_combo name =
       if port < self#noutputs then self#output port p
       else self#drop ~reason p
 
-    method! push _ p =
+    (* The combo's body up to the forward on output 0; [false] once the
+       packet was dropped or rejected through a side output. *)
+    method private pass p =
       let anno = Packet.anno p in
       match anno.Packet.link_type with
       | Packet.Broadcast | Packet.Multicast ->
-          self#drop ~reason:"link-level broadcast" p
+          self#drop ~reason:"link-level broadcast" p;
+          false
       | Packet.To_host | Packet.To_other ->
           if anno.Packet.paint = color && self#noutputs > 1 then begin
             let c = Packet.clone p in
             self#spawn c;
             self#output 1 c
           end;
-          if not (self#options_ok p) then self#reject 2 "bad IP options" p
+          if not (self#options_ok p) then begin
+            self#reject 2 "bad IP options" p;
+            false
+          end
           else begin
             if anno.Packet.fix_ip_src then begin
               anno.Packet.fix_ip_src <- false;
@@ -182,56 +173,28 @@ class ip_output_combo name =
               self#charge (Hooks.W_checksum (Ip.header_length p));
               Ip.update_checksum p
             end;
-            if Ip.ttl p <= 1 then self#reject 3 "TTL expired" p
+            if Ip.ttl p <= 1 then begin
+              self#reject 3 "TTL expired" p;
+              false
+            end
             else begin
               Ip.decrement_ttl p;
-              self#output 0 p
+              true
             end
           end
+
+    method! push _ p = if self#pass p then self#output 0 p
 
     method! region_sem =
       (* Barrier: the source rewrite and TTL decrement change header
          bytes, so no downstream tree test may be hoisted above this
-         stage. Rejects divert through side outputs / accounted drops,
-         exactly as [push]. *)
+         stage. *)
       Some
         (Region.Guard
            {
              gd_shift = 0;
              gd_barrier = true;
-             gd_run =
-               (fun p ->
-                 let anno = Packet.anno p in
-                 match anno.Packet.link_type with
-                 | Packet.Broadcast | Packet.Multicast ->
-                     self#drop ~reason:"link-level broadcast" p;
-                     false
-                 | Packet.To_host | Packet.To_other ->
-                     if anno.Packet.paint = color && self#noutputs > 1 then begin
-                       let c = Packet.clone p in
-                       self#spawn c;
-                       self#output 1 c
-                     end;
-                     if not (self#options_ok p) then begin
-                       self#reject 2 "bad IP options" p;
-                       false
-                     end
-                     else begin
-                       if anno.Packet.fix_ip_src then begin
-                         anno.Packet.fix_ip_src <- false;
-                         Ip.set_src p my_addr;
-                         self#charge (Hooks.W_checksum (Ip.header_length p));
-                         Ip.update_checksum p
-                       end;
-                       if Ip.ttl p <= 1 then begin
-                         self#reject 3 "TTL expired" p;
-                         false
-                       end
-                       else begin
-                         Ip.decrement_ttl p;
-                         true
-                       end
-                     end);
+             gd_run = (fun p -> self#pass p);
            })
 
     method! stats = [ ("rejects", drops) ]

@@ -15,8 +15,8 @@
       trie LPM, live add/remove handlers) and LinearIPLookup (the
       paper-era linear scan, differential reference)
     - {!Arp}: ARPQuerier, ARPResponder
-    - {!Classify}: Classifier, IPClassifier, IPFilter (interpreted decision
-      trees) and the generated FastClassifier classes
+    - {!Classify}: Classifier, IPClassifier, IPFilter (decision trees
+      built at configure time) and the generated FastClassifier classes
     - {!Devices}: PollDevice/FromDevice, ToDevice, InfiniteSource, UDPSource
     - {!Combos}: IPInputCombo, IPOutputCombo (introduced by [click-xform])
     - {!Misc}: Align, AlignmentInfo, RouterLink
@@ -79,6 +79,7 @@ val register_all : unit -> unit
 val register_fast_classifier :
   class_name:string -> Oclick_classifier.Tree.t -> unit
 (** The runtime half of [click-fastclassifier]: installs a generated
-    classifier class whose instances run the closure-compiled tree —
-    the registry stands in for Click's dynamic linking of generated
+    classifier class whose instances walk the tool's optimized tree,
+    charged as specialized code ({!Oclick_runtime.Hooks.W_classify_compiled})
+    — the registry stands in for Click's dynamic linking of generated
     element code. *)

@@ -102,20 +102,33 @@ class linear_ip_lookup name =
       in
       go 0
 
-    method! push _ p =
+    (* The lookup [push] and the route sem share: charge the entries
+       scanned unless [lean_work], rewrite the gateway annotation,
+       account misses and unconnected drops, and return the output port
+       (-1 when the packet was consumed). Reads [routes] per call, so
+       live adds/removes stay visible to compiled graphs. *)
+    method private route ~lean_work nout p =
       let dst = (Packet.anno p).Packet.dst_ip in
       match self#scan dst with
       | -1 ->
-          if not self#lean_work then
+          if not lean_work then
             self#charge (Hooks.W_lookup (Array.length routes));
           misses <- misses + 1;
-          self#drop ~reason:"no route" p
+          self#drop ~reason:"no route" p;
+          -1
       | i ->
           let r = routes.(i) in
-          if not self#lean_work then self#charge (Hooks.W_lookup (i + 1));
+          if not lean_work then self#charge (Hooks.W_lookup (i + 1));
           if r.rt_gw <> 0 then (Packet.anno p).Packet.dst_ip <- r.rt_gw;
-          if r.rt_port < self#noutputs then self#output r.rt_port p
-          else self#drop ~reason:"route to unconnected port" p
+          if r.rt_port < nout then r.rt_port
+          else begin
+            self#drop ~reason:"route to unconnected port" p;
+            -1
+          end
+
+    method! push _ p =
+      let port = self#route ~lean_work:self#lean_work self#noutputs p in
+      if port >= 0 then self#output port p
 
     method! push_batch _ batch =
       (* Look the whole batch up first (one summed W_lookup charge —
@@ -153,59 +166,14 @@ class linear_ip_lookup name =
       emit_runs self ports batch bn ~on_invalid:(fun p ->
           self#drop ~reason:"route to unconnected port" p)
 
-    method! fuse ctx =
-      (* The scalar push, with each route's output port resolved to its
-         compiled connection up front. The W_lookup charge (identical
-         scanned counts) is kept whenever the hooks might read it. *)
-      let nout = self#noutputs in
-      let outs = Array.init nout ctx.E.fc_out in
-      let lean = ctx.E.fc_lean_work in
-      Some
-        (fun p ->
-          let dst = (Packet.anno p).Packet.dst_ip in
-          match self#scan dst with
-          | -1 ->
-              if not lean then
-                self#charge (Hooks.W_lookup (Array.length routes));
-              misses <- misses + 1;
-              self#drop ~reason:"no route" p
-          | i ->
-              let r = routes.(i) in
-              if not lean then self#charge (Hooks.W_lookup (i + 1));
-              if r.rt_gw <> 0 then (Packet.anno p).Packet.dst_ip <- r.rt_gw;
-              if r.rt_port < nout then outs.(r.rt_port) p
-              else self#drop ~reason:"route to unconnected port" p)
-
     method! region_sem =
-      (* The same scalar lookup as [fuse], as a fused-region leaf: the
-         region's action dispatches on the returned port, so the closure
-         only decides, rewrites the gateway annotation, and accounts
-         misses/unconnected drops itself (returning -1 when the packet
-         was consumed). Reads [routes] per call, so live adds/removes
-         stay visible to fused graphs. *)
       Some
         (Region.Route
            {
              rt_make =
-               (fun ~lean_work p ->
-                 let dst = (Packet.anno p).Packet.dst_ip in
-                 match self#scan dst with
-                 | -1 ->
-                     if not lean_work then
-                       self#charge (Hooks.W_lookup (Array.length routes));
-                     misses <- misses + 1;
-                     self#drop ~reason:"no route" p;
-                     -1
-                 | i ->
-                     let r = routes.(i) in
-                     if not lean_work then self#charge (Hooks.W_lookup (i + 1));
-                     if r.rt_gw <> 0 then
-                       (Packet.anno p).Packet.dst_ip <- r.rt_gw;
-                     if r.rt_port < self#noutputs then r.rt_port
-                     else begin
-                       self#drop ~reason:"route to unconnected port" p;
-                       -1
-                     end);
+               (fun ~lean_work ->
+                 let nout = self#noutputs in
+                 fun p -> self#route ~lean_work nout p);
            })
 
     (* Live table updates, matching the trie backend's handlers. The
@@ -340,22 +308,36 @@ class trie_ip_lookup cls name =
               nh_scratch <- [||];
               Ok ())
 
-    method! push _ p =
+    (* The lookup [push] and the route sem share: charge the trie
+       touches unless [lean_work], rewrite the gateway annotation,
+       account misses and unconnected drops, and return the output port
+       (-1 when the packet was consumed). Reads [trie] per call, so live
+       adds/removes and stride upgrades stay visible to compiled
+       graphs. *)
+    method private route ~lean_work nout p =
       let dst = (Packet.anno p).Packet.dst_ip land 0xffff_ffff in
       let r = Lpm.lookup trie dst in
-      self#charge (Hooks.W_lookup (Lpm.result_touches r));
+      if not lean_work then self#charge (Hooks.W_lookup (Lpm.result_touches r));
       if Lpm.result_found r then begin
         let nh = Lpm.result_nh r in
         let gw = Lpm.gw trie nh in
         if gw <> 0 then (Packet.anno p).Packet.dst_ip <- gw;
         let port = Lpm.port trie nh in
-        if port < self#noutputs then self#output port p
-        else self#drop ~reason:"route to unconnected port" p
+        if port < nout then port
+        else begin
+          self#drop ~reason:"route to unconnected port" p;
+          -1
+        end
       end
       else begin
         misses <- misses + 1;
-        self#drop ~reason:"no route" p
+        self#drop ~reason:"no route" p;
+        -1
       end
+
+    method! push _ p =
+      let port = self#route ~lean_work:self#lean_work self#noutputs p in
+      if port >= 0 then self#output port p
 
     method! push_batch _ batch =
       let bn = Array.length batch in
@@ -398,64 +380,14 @@ class trie_ip_lookup cls name =
             self#drop ~reason:"route to unconnected port" p)
       end
 
-    method! fuse ctx =
-      (* The compiled decision closure: the fused body calls the trie
-         directly, with output ports pre-resolved to compiled
-         connections. The closure captures the element (not the trie
-         binding), so live adds/removes — and even a stride upgrade that
-         rebinds [trie] — stay visible to compiled graphs. *)
-      let nout = self#noutputs in
-      let outs = Array.init nout ctx.E.fc_out in
-      let lean = ctx.E.fc_lean_work in
-      Some
-        (fun p ->
-          let dst = (Packet.anno p).Packet.dst_ip land 0xffff_ffff in
-          let r = Lpm.lookup trie dst in
-          if not lean then self#charge (Hooks.W_lookup (Lpm.result_touches r));
-          if Lpm.result_found r then begin
-            let nh = Lpm.result_nh r in
-            let gw = Lpm.gw trie nh in
-            if gw <> 0 then (Packet.anno p).Packet.dst_ip <- gw;
-            let port = Lpm.port trie nh in
-            if port < nout then outs.(port) p
-            else self#drop ~reason:"route to unconnected port" p
-          end
-          else begin
-            misses <- misses + 1;
-            self#drop ~reason:"no route" p
-          end)
-
     method! region_sem =
-      (* As [fuse], but as a fused-region leaf: decide, rewrite the
-         gateway annotation, account misses and unconnected drops,
-         return the port (-1 when consumed). Captures the element, not
-         the trie binding, so live adds/removes and stride upgrades stay
-         visible. *)
       Some
         (Region.Route
            {
              rt_make =
-               (fun ~lean_work p ->
-                 let dst = (Packet.anno p).Packet.dst_ip land 0xffff_ffff in
-                 let r = Lpm.lookup trie dst in
-                 if not lean_work then
-                   self#charge (Hooks.W_lookup (Lpm.result_touches r));
-                 if Lpm.result_found r then begin
-                   let nh = Lpm.result_nh r in
-                   let gw = Lpm.gw trie nh in
-                   if gw <> 0 then (Packet.anno p).Packet.dst_ip <- gw;
-                   let port = Lpm.port trie nh in
-                   if port < self#noutputs then port
-                   else begin
-                     self#drop ~reason:"route to unconnected port" p;
-                     -1
-                   end
-                 end
-                 else begin
-                   misses <- misses + 1;
-                   self#drop ~reason:"no route" p;
-                   -1
-                 end);
+               (fun ~lean_work ->
+                 let nout = self#noutputs in
+                 fun p -> self#route ~lean_work nout p);
            })
 
     (* Live table updates, Click-handler style:

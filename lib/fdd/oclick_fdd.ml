@@ -22,7 +22,6 @@
 
 module Packet = Oclick_packet.Packet
 module Tree = Oclick_classifier.Tree
-module Codegen = Oclick_classifier.Codegen
 module Element = Oclick_runtime.Element
 module Region = Oclick_runtime.Region
 module Hooks = Oclick_runtime.Hooks
@@ -48,9 +47,69 @@ type fused = {
   fu_region : region;
 }
 
+(* --- one element: the body its sem describes ---------------------------- *)
+
+(* What a Set_paint, Guard or Mutate stage does to a packet: [true] to
+   continue on output 0, [false] when the stage consumed or diverted it. *)
+let stage = function
+  | Region.Set_paint c ->
+      fun p ->
+        (Packet.anno p).Packet.paint <- c;
+        true
+  | Region.Guard { gd_run; _ } -> gd_run
+  | Region.Mutate f ->
+      fun p ->
+        f p;
+        true
+  | Region.Classify _ | Region.Paint_switch _ | Region.Route _ ->
+      invalid_arg "Oclick_fdd.stage: not a stage"
+
+let body sem ~noutputs ~lean_work ~out =
+  match sem with
+  | Region.Classify { cl_tree = t; cl_charge; cl_invalid } ->
+      (* One continuation per leaf slot, slot 0 (the drop leaf) going to
+         [cl_invalid]. Leaves past the outputs go there too: they become
+         drop leaves, so every slot the walk returns is in the array. *)
+      let clamp = function
+        | Tree.Leaf k when k >= noutputs -> Tree.Leaf Tree.drop
+        | l -> l
+      in
+      let node (n : Tree.node) =
+        { n with yes = clamp n.yes; no = clamp n.no }
+      in
+      let tree =
+        { t with root = clamp t.root; nodes = Array.map node t.nodes }
+      in
+      let slots =
+        Array.init (noutputs + 1) (fun s ->
+            if s = 0 then cl_invalid else out (s - 1))
+      in
+      if lean_work then fun p ->
+        slots.(Tree.classify_packed tree p asr Tree.packed_visited_bits) p
+      else fun p ->
+        let v = Tree.classify_packed tree p in
+        cl_charge (Tree.packed_visited v);
+        slots.(v asr Tree.packed_visited_bits) p
+  | Region.Route { rt_make } ->
+      let lookup = rt_make ~lean_work in
+      let outs = Array.init noutputs out in
+      fun p ->
+        let port = lookup p in
+        if port >= 0 then outs.(port) p
+  | Region.Paint_switch { ps_invalid } ->
+      let outs = Array.init noutputs out in
+      fun p ->
+        let c = (Packet.anno p).Packet.paint in
+        if c >= 0 && c < noutputs then outs.(c) p else ps_invalid p
+  | Region.Set_paint _ | Region.Guard _ | Region.Mutate _ ->
+      let eff = stage sem and k = out 0 in
+      fun p -> if eff p then k p
+
+(* --- regions ------------------------------------------------------------ *)
+
 (* Path expansion of classifier DAGs can blow up; past these budgets the
    region is abandoned and the compiler falls back to per-element
-   fusion, which is always available. *)
+   bodies, which are always available. *)
 let node_budget = 4096
 let action_budget = 512
 
@@ -250,8 +309,7 @@ let plan (elements : Element.t array) (out : (int * int) option array array)
   match (el entry)#region_sem with
   | None | Some (Region.Paint_switch _) | Some (Region.Route _) ->
       (* No cascade can start here: unknown paint can't fold, and a
-         bare route lookup is already one fused closure via its own
-         [fuse]. *)
+         bare route lookup is already one closure, its own [body]. *)
       None
   | Some _ -> (
       match
@@ -262,7 +320,7 @@ let plan (elements : Element.t array) (out : (int * int) option array array)
       | root ->
           if Hashtbl.length members = 0 then
             (* The region never crossed an element boundary; the
-               element's own fuse body is the specialized (and cheaper)
+               element's own [body] is the specialized (and cheaper)
                form of the same semantics. *)
             None
           else
@@ -366,17 +424,7 @@ let compile ctx pl =
     | _ -> assert false
   in
   let eff_of j =
-    match (el j)#region_sem with
-    | Some (Region.Set_paint c) ->
-        fun p ->
-          (Packet.anno p).Packet.paint <- c;
-          true
-    | Some (Region.Guard { gd_run; _ }) -> gd_run
-    | Some (Region.Mutate f) ->
-        fun p ->
-          f p;
-          true
-    | _ -> assert false
+    match (el j)#region_sem with Some sem -> stage sem | None -> assert false
   in
   (* Per-packet fault containment identical to the compiled
      connection's: the fault is recorded against the element whose code
@@ -600,7 +648,7 @@ let compile ctx pl =
         f
   in
   let nact = Array.length pl.pl_actions in
-  (* --- the scalar body: the diagram as nested closures ------------------ *)
+  (* --- the scalar body: one diagram walk, then the leaf's action --------- *)
   let compile_action (ops, exitk) =
     let rec scalar_steps = function
       | [] -> []
@@ -620,14 +668,13 @@ let compile ctx pl =
         in
         go 0
   in
-  let action_arr = Array.map compile_action pl.pl_actions in
+  (* Leaf slot [l + 1] runs leaf action [l]; no leaf of the diagram is
+     the drop leaf, so slot 0 is never taken. *)
+  let slots =
+    Array.append [| ignore |] (Array.map compile_action pl.pl_actions)
+  in
   let diagram =
     { Tree.nodes = pl.pl_nodes; root = pl.pl_root; noutputs = nact }
-  in
-  let body =
-    Codegen.closures diagram ~leaf:(fun k ->
-        let act = action_arr.(k) in
-        fun p _visited -> act p)
   in
   let region =
     {
@@ -640,7 +687,7 @@ let compile ctx pl =
   in
   let scalar p =
     region.rg_packets <- region.rg_packets + 1;
-    body p
+    slots.(Tree.classify_packed diagram p asr Tree.packed_visited_bits) p
   in
   (* --- the vector body ---------------------------------------------------- *)
   (* Exits a vector can leave by in bulk, deduplicated across leaves. A

@@ -1,7 +1,7 @@
 (** Cross-element match-action fusion over forwarding decision diagrams.
 
-    The per-element compiler ({!Oclick_compile}) specializes each
-    element's push body in isolation; a packet crossing a cascade of
+    The graph compiler ({!Oclick_compile}) builds each element's push
+    body from its sem in isolation ({!body}); a packet crossing a cascade of
     classifiers still pays one tree walk, one transfer, and one
     indirect call per hop. This pass collapses a whole push region into
     a single decision diagram, in the spirit of the NetKAT compiler's
@@ -10,7 +10,9 @@
     writes and switches are constant-folded, and a terminal route
     lookup becomes a leaf action. The result is one compiled closure
     per region — one dispatch for the entire cascade — in two forms: a
-    scalar body for one packet and a vector body for a batch.
+    scalar body for one packet and a vector body for a batch. Both walk
+    the diagram with {!Oclick_classifier.Tree.classify_packed}, the walk
+    every classifier runs.
 
     The vector body classifies every packet of the vector through the
     diagram, runs the leaf actions' ops column by column over the
@@ -31,6 +33,24 @@
 module Packet = Oclick_packet.Packet
 module Element = Oclick_runtime.Element
 module Hooks = Oclick_runtime.Hooks
+
+val body :
+  Oclick_runtime.Region.sem ->
+  noutputs:int ->
+  lean_work:bool ->
+  out:(int -> Packet.t -> unit) ->
+  Packet.t ->
+  unit
+(** [body sem ~noutputs ~lean_work ~out] is the compiled push body of one
+    element with [noutputs] outputs, built from its sem alone; [out port]
+    is the compiled connection for output [port]. A [Classify] body runs
+    one {!Oclick_classifier.Tree.classify_packed} walk, charges
+    [cl_charge] unless [lean_work], and continues through a per-leaf
+    array of continuations; a [Route] body calls [rt_make ~lean_work] once
+    and dispatches on the port it returns; a [Paint_switch] body
+    dispatches on the paint annotation; the other stages run their
+    effect and continue on output 0 if it passes. The graph compiler
+    uses this for every element with a sem that roots no region. *)
 
 type ctx = {
   fd_elements : Element.t array;  (** the instantiated graph, by index *)
@@ -67,12 +87,12 @@ val plan_regions :
     comes from an element without region semantics (a device, a Queue,
     ARP, …), through a wire mangler, out of a route lookup, or down an
     exit or side output of another region. Elements entered only from
-    inside a region get [None] and keep their per-element fused body.
+    inside a region get [None] and keep their per-element {!body}.
 
     [None] also where fusion is not worthwhile or not sound: the entry
     exposes no usable {!Oclick_runtime.Region.sem}, the region never
-    absorbs a second element (the element's own [fuse] body is already
-    the best form), or the diagram outgrew the node/action budgets. A
+    absorbs a second element (the element's own {!body} is already the
+    best form), or the diagram outgrew the node/action budgets. A
     wire mangler on a source ends the region there (fault injection
     rewrites bytes mid-cascade, invalidating hoisted tests). [None]
     never loses correctness, only the cross-element optimization. *)

@@ -7,7 +7,9 @@
     generated class and registers it with the runtime:
 
     - [FastClassifier@@X] classes are rebuilt from their decision-tree
-      dumps ([...tree] archive members) and run compiled classification;
+      dumps ([...tree] archive members, refused unless
+      {!Oclick_classifier.Tree.of_string} accepts them) and charge their
+      walks as specialized code;
     - [Devirtualize@@Orig@@N] classes wrap the original class's
       constructor with direct dispatch.
 

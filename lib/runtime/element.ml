@@ -10,7 +10,7 @@ type init_ctx = {
    compiled connection closure for this element's output [port] — calling
    it is exactly [output port p] on the compiled path. [fc_lean_work]
    tells the element whether the installed hooks ignore work charges, so
-   a fused body may specialize the charge away. *)
+   a compiled body may specialize the charge away. *)
 and fuse_ctx = {
   fc_out : int -> Oclick_packet.Packet.t -> unit;
   fc_lean_work : bool;
@@ -571,9 +571,9 @@ class virtual simple_action (name : string) =
       if !m > 0 then self#output_batch 0 (self#sub_batch batch !m)
 
     method! fuse ctx =
-      (* The generic fused body for every simple_action element: exactly
-         [push], with the downstream transfer already resolved to the
-         compiled connection closure. *)
+      (* The generic compiled body for every simple_action element
+         without a sem: exactly [push], with the downstream transfer
+         already resolved to the compiled connection closure. *)
       let k = ctx.fc_out 0 in
       Some
         (fun p ->

@@ -25,7 +25,7 @@ type init_ctx = {
     for the element's output [port] — calling it has exactly the
     semantics of [output port] on the compiled path (mangle, quarantine,
     hook report, containment). [fc_lean_work] is whether the installed
-    hooks ignore {!Hooks.t.on_work} charges, so a fused body may
+    hooks ignore {!Hooks.t.on_work} charges, so a compiled body may
     specialize the charge away. *)
 and fuse_ctx = {
   fc_out : int -> Oclick_packet.Packet.t -> unit;
@@ -188,22 +188,24 @@ class virtual base : string -> object
   (** {2 Graph compilation}
 
       The runtime graph compiler ({!Oclick_compile}) replaces interpreted
-      dispatch with direct-call closures. [fuse] is the element's side of
-      the bargain: return a closure with exactly the semantics of [push]
-      (for {e any} input port), transferring downstream through
-      [ctx.fc_out] instead of {!output}. Elements whose [push] is
-      port-sensitive, stateful across ports, or otherwise not expressible
-      this way keep the default ([None]) and the compiler falls back to
-      dynamic dispatch into them — compilation never changes semantics,
-      only the call path. *)
+      dispatch with direct-call closures, one compiled body per element.
+      An element with a {!region_sem} gets the body its sem describes;
+      [fuse] is only for elements without one. It returns a closure with
+      exactly the semantics of [push] (for {e any} input port),
+      transferring downstream through [ctx.fc_out] instead of {!output}.
+      Elements with neither keep dynamic [push] dispatch behind a
+      compiled connection — compilation never changes semantics, only
+      the call path. *)
 
   method fuse : fuse_ctx -> (Oclick_packet.Packet.t -> unit) option
-  (** Default [None]: not fusable, the compiler calls [push] dynamically. *)
+  (** Default [None]: not fusable, the compiler calls [push] dynamically.
+      Never called on an element with a {!region_sem}. *)
 
   method region_sem : Region.sem option
-  (** The element's push semantics in match-action terms, for the FDD
-      cross-element fusion pass (see {!Region}). Default [None]: the
-      element is opaque to fusion and ends any region reaching it. *)
+  (** The element's push semantics in match-action terms (see {!Region}):
+      the compiler derives the element's compiled body from it, and the
+      FDD pass fuses it across elements. Default [None]: the element is
+      opaque to fusion and ends any region reaching it. *)
 
   method set_fused :
     out:(Oclick_packet.Packet.t -> unit) array ->

@@ -1,21 +1,24 @@
-(** Declarative classification semantics for cross-element fusion.
+(** Declarative classification semantics: the one compiled description
+    of an element.
 
     An element may expose, through {!Element.base.region_sem}, a
     description of what its push path {e means} in match-action terms.
-    The FDD fusion pass ([lib/fdd], run by {!Oclick_compile} under
-    [~fuse:true]) walks a push region over these descriptions and
-    collapses the whole cascade — classifier trees, paint writes and
-    switches, header guards, a route lookup — into one forwarding
-    decision diagram evaluated as a single compiled closure.
+    The graph compiler ({!Oclick_compile}) derives the element's compiled
+    body from it ([Oclick_fdd.body]) and never asks such an element to
+    [fuse]. Under [~fuse:true] the FDD pass ([lib/fdd]) also walks a push
+    region over these descriptions and collapses the whole cascade —
+    classifier trees, paint writes and switches, header guards, a route
+    lookup — into one forwarding decision diagram evaluated as a single
+    compiled closure.
 
-    The contract mirrors {!Element.base.fuse}: every closure carried
-    here must have exactly the semantics of the element's [push]
-    (charges, drop reasons, annotation writes), because the fused path
-    is required to replay the interpreted run's observable behaviour —
-    outcome totals, per-hop obs ledgers, drop reasons — byte for byte.
-    Elements whose push path cannot be described this way simply keep
-    the default ([None]) and end the region; fusion never changes
-    semantics, only the decision-evaluation path. *)
+    Every closure carried here must have exactly the semantics of the
+    element's [push] (charges, drop reasons, annotation writes), because
+    the compiled and fused paths are required to replay the interpreted
+    run's observable behaviour — outcome totals, per-hop obs ledgers,
+    drop reasons — byte for byte. Elements whose push path cannot be
+    described this way simply keep the default ([None]) and end the
+    region; compilation never changes semantics, only the evaluation
+    path. *)
 
 module Tree = Oclick_classifier.Tree
 module Packet = Oclick_packet.Packet
@@ -63,9 +66,9 @@ type sem =
       (** An unconditional effect (annotation writes, clone-and-tee side
           outputs) that always continues on output 0. *)
   | Route of { rt_make : lean_work:bool -> Packet.t -> int }
-      (** A route lookup as a fused leaf action: [rt_make ~lean_work]
-          builds the lookup closure once per region; per packet it
-          performs the lookup — charging work unless [lean_work],
-          rewriting the gateway annotation, accounting misses and
-          unconnected-port drops itself — and returns the output port,
-          or [-1] when it consumed the packet. *)
+      (** A route lookup as a leaf action: [rt_make ~lean_work] builds
+          the lookup closure once per compiled body or region; per
+          packet it performs the lookup — charging work unless
+          [lean_work], rewriting the gateway annotation, accounting
+          misses and unconnected-port drops itself — and returns the
+          output port, or [-1] when it consumed the packet. *)

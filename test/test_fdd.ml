@@ -62,12 +62,18 @@ type outcome = {
 let frame_bytes p = Packet.to_string p
 
 (* Same rule oclick-run uses to decide which simulated devices a
-   configuration needs. *)
+   configuration needs, seeing through the Devirtualize@@CLASS@@N names
+   click-devirtualize gives specialized classes. *)
 let device_names graph =
   let names = ref [] in
   List.iter
     (fun i ->
-      match Router.class_of graph i with
+      let cls = Router.class_of graph i in
+      match
+        match String.split_on_char '@' cls with
+        | [ "Devirtualize"; ""; orig; ""; _ ] -> orig
+        | _ -> cls
+      with
       | "PollDevice" | "FromDevice" | "ToDevice" -> (
           match Oclick_lang.Args.split (Router.config graph i) with
           | d :: _ when not (List.mem d !names) -> names := d :: !names
@@ -316,6 +322,59 @@ let test_example_configs_differential () =
           done)
         batches)
     configs
+
+(* The paper's full tool chain on every example configuration: xform's
+   IPInputCombo/IPOutputCombo, the generated FastClassifier classes and
+   the Devirtualize@@ classes run compiled and fused bodies here. *)
+let test_optimized_configs_differential () =
+  List.iter
+    (fun (name, src) ->
+      let graph =
+        Oclick.Pipeline.optimize Oclick.Pipeline.All (parse_exn name src)
+      in
+      let ndev = max 1 (List.length (device_names graph)) in
+      check_bool (name ^ ": devices found") true (ndev > 1);
+      List.iter
+        (fun batch ->
+          for seed = 1 to 2 do
+            check_three_way
+              ~ctx:(Printf.sprintf "%s (All) seed %d" name seed)
+              ~batch
+              ~script:(make_script ~seed ~ndev)
+              graph
+          done)
+        batches)
+    (example_configs ())
+
+(* PaintSwitch behind a dominating Paint (folded into the classifier's
+   region under fusion), behind a paint with no output, and behind a
+   Counter, which ends the region so the switch runs the compiled body
+   of its own sem in every compiled mode. Classifier c's third leaf has
+   no connected output. *)
+let paint_switch_config =
+  "FromDevice(eth0) -> c :: Classifier(12/0800, 12/0806, -);\n\
+   c [0] -> Paint(1) -> s :: PaintSwitch;\n\
+   c [1] -> Paint(5) -> s;\n\
+   s [0] -> Discard;\n\
+   s [1] -> Queue(64) -> ToDevice(eth0);\n\
+   FromDevice(eth1) -> c2 :: Classifier(12/0800, -);\n\
+   c2 [0] -> Paint(0) -> k :: Counter -> s2 :: PaintSwitch;\n\
+   c2 [1] -> Paint(7) -> k;\n\
+   s2 [0] -> Queue(64) -> ToDevice(eth1);\n\
+   s2 [1] -> Discard;"
+
+let test_paint_switch_differential () =
+  let graph = parse_exn "paint-switch" paint_switch_config in
+  List.iter
+    (fun batch ->
+      for seed = 1 to 3 do
+        check_three_way
+          ~ctx:(Printf.sprintf "paint-switch seed %d" seed)
+          ~batch
+          ~script:(make_script ~seed ~ndev:2)
+          graph
+      done)
+    batches
 
 (* --- truncated packets through cascaded classifiers -------------------- *)
 
@@ -749,6 +808,10 @@ let () =
           Alcotest.test_case "pure-runtime fuzz" `Quick test_fuzz_differential;
           Alcotest.test_case "example configurations" `Quick
             test_example_configs_differential;
+          Alcotest.test_case "optimized example configurations" `Quick
+            test_optimized_configs_differential;
+          Alcotest.test_case "paint switch" `Quick
+            test_paint_switch_differential;
           Alcotest.test_case "truncated packets" `Quick
             test_short_packet_differential;
           Alcotest.test_case "testbed across domains" `Quick
