@@ -128,24 +128,20 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
                     regions := f.Fdd.fu_region :: !regions;
                     vectors.(i) <- Some f.Fdd.fu_vector;
                     Some f.Fdd.fu_scalar
-                | None -> (
-                    (* The body resolves its connection closures when it
-                       is built, so it chains compiled neighbours with a
-                       direct call — no memo lookup on the hot path.
-                       Recursion is safe: resolving a connection may
-                       build the destination's body, and the [building]
-                       flags break cycles into dynamic fallbacks. An
-                       element with a sem gets the body the sem
-                       describes; only the others supply their own. *)
-                    let out port = conn i port in
-                    match elements.(i)#region_sem with
-                    | Some sem ->
-                        Some
-                          (Fdd.body sem ~noutputs:elements.(i)#noutputs
-                             ~lean_work ~out)
-                    | None ->
-                        elements.(i)#fuse
-                          { Element.fc_out = out; fc_lean_work = lean_work })
+                | None ->
+                    (* The body the sem describes. It resolves its
+                       connection closures when it is built, so it chains
+                       compiled neighbours with a direct call — no memo
+                       lookup on the hot path. Recursion is safe:
+                       resolving a connection may build the destination's
+                       body, and the [building] flags break cycles into
+                       dynamic fallbacks. An element without a sem has no
+                       body: connections into it call its [push]. *)
+                    Option.map
+                      (fun sem ->
+                        Fdd.body sem ~noutputs:elements.(i)#noutputs
+                          ~lean_work ~out:(conn i))
+                      elements.(i)#region_sem
               in
               building.(i) <- false;
               attempted.(i) <- true;

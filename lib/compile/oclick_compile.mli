@@ -12,26 +12,27 @@
       port-array lookup, no option match, no transfer-record allocation,
       and — when the installed hooks are the no-op {!Hooks.null} ones —
       no hook call at all.
-    - {b chain fusion} — every element with a compiled body contributes
-      it directly, so a maximal run of such elements collapses into one
-      nested closure: a packet crosses CheckIPHeader → DecIPTTL → … in
-      straight-line calls. An element with a {!Oclick_runtime.Region.sem}
-      (paints, guards, the classifiers, the route lookups, the combos)
-      gets the body its sem describes ({!Oclick_fdd.body}): a classifier
-      runs one {!Oclick_classifier.Tree.classify_packed} walk and jumps
-      through a per-leaf continuation array, a route lookup calls its
-      table (the DIR-24-8 trie) directly. Only elements without a sem
-      supply their own {!Element.base.fuse} body ([simple_action]'s
-      generic one, Discard, Counter, Queue).
+    - {b bodies from the sem} — every element with a
+      {!Oclick_runtime.Region.sem} (every [simple_action], the
+      classifiers, the route lookups, PaintSwitch, the combos) gets the
+      compiled body its sem describes ({!Oclick_fdd.body}), chained to
+      its compiled neighbours, so a run of such elements collapses into
+      one nested closure: a packet crosses CheckIPHeader → DecIPTTL → …
+      in straight-line calls. A classifier's body runs one
+      {!Oclick_classifier.Tree.classify_packed} walk and jumps through a
+      per-leaf continuation array; a route lookup calls its table (the
+      DIR-24-8 trie) directly; a [simple_action] runs its one [inplace]
+      body.
 
     Semantics are bit-identical to the interpreted path: mangle
     (fault injection), quarantine checks, fault containment and drop
     attribution, work charges, and — when observation is on — the exact
     per-hop hook event sequence are all preserved, so outcome totals,
     drop reasons, conservation balances and obs ledgers are equal by
-    construction. Elements without a compiled body (devices, ARP, Tee,
-    ICMPError, …) keep dynamic [push] dispatch behind a compiled
-    connection: compilation degrades per element, never per graph.
+    construction. Elements without a sem (devices, Queue, Discard,
+    Counter, ARP, Tee, ICMPError, …) keep dynamic [push] dispatch behind
+    a compiled connection: compilation degrades per element, never per
+    graph.
 
     The only configurations conservatively rejected are direct
     self-loops (an element pushing straight into itself), where fusion
@@ -42,7 +43,10 @@
 type stats = {
   st_connections : int;  (** push connections devirtualized *)
   st_fused : int;  (** elements contributing compiled per-packet bodies *)
-  st_fallbacks : int;  (** connections delivering via dynamic dispatch *)
+  st_fallbacks : int;
+      (** connections delivering via dynamic dispatch: those into an
+          element without a sem (and back edges into a body still being
+          built) *)
   st_regions : Oclick_fdd.region list;
       (** cross-element regions fused into single decision diagrams
           (empty unless compiled with [~fuse:true]) *)
@@ -56,10 +60,10 @@ val install : ?fuse:bool -> Oclick_runtime.Driver.t -> (stats, string) result
     With [~fuse:true], the cross-element FDD pass ({!Oclick_fdd}) plans
     a diagram at every region root: cascades of classifiers, paint
     writes/switches, header guards and route lookups collapse into one
-    decision-diagram closure per region, with per-element fusion as the
-    universal fallback. The batched connection into a region root calls
-    the region's vector body, so batches run through the diagram too.
-    Observable behaviour is unchanged either way. *)
+    decision-diagram closure per region, with the per-element bodies as
+    the universal fallback. The batched connection into a region root
+    calls the region's vector body, so batches run through the diagram
+    too. Observable behaviour is unchanged either way. *)
 
 val last_stats : unit -> stats option
 (** Stats of the most recent {!install} in this process, or [None] if it

@@ -46,12 +46,6 @@ class discard name =
         self#drop ~reason:"discarded" batch.(i)
       done
 
-    method! fuse _ =
-      Some
-        (fun p ->
-          count <- count + 1;
-          self#drop ~reason:"discarded" p)
-
     method! stats = [ ("count", count) ]
   end
 
@@ -93,14 +87,6 @@ class counter name =
         bytes <- bytes + Packet.length batch.(i)
       done;
       self#output_batch 0 batch
-
-    method! fuse ctx =
-      let k = ctx.E.fc_out 0 in
-      Some
-        (fun p ->
-          packets <- packets + 1;
-          bytes <- bytes + Packet.length p;
-          k p)
 
     method! stats = [ ("packets", packets); ("bytes", bytes) ]
 
@@ -347,7 +333,7 @@ class queue name =
             end
 
     method! push _ p =
-      self#charge Hooks.W_queue;
+      if not self#lean_work then self#charge Hooks.W_queue;
       self#enqueue p
 
     method! pull _ =
@@ -387,15 +373,6 @@ class queue name =
             drops <- drops + 1;
             self#drop ~reason:"queue full" batch.(i)
           done
-
-    method! fuse ctx =
-      (* The enqueue half of push, verbatim; the work charge disappears
-         entirely when the hooks ignore it. *)
-      let lean = ctx.E.fc_lean_work in
-      Some
-        (fun p ->
-          if not lean then self#charge Hooks.W_queue;
-          self#enqueue p)
 
     method! pull_batch _ dst =
       match ring with

@@ -198,14 +198,14 @@ class ip_encap name =
           | _ -> Error "IPEncap expects PROTO, SRC, DST")
       | _ -> Error "IPEncap expects PROTO, SRC, DST"
 
-    method private action p =
+    method private inplace p =
       Packet.push p Ip.min_header_length;
       Ip.write_header p ~src ~dst ~protocol:proto
         ~total_length:(Packet.length p) ~ident ();
       ident <- (ident + 1) land 0xffff;
       (Packet.anno p).Packet.dst_ip <- dst;
       self#charge (Hooks.W_checksum Ip.min_header_length);
-      Some p
+      E.V_keep
   end
 
 (* UDPIPEncap(SRC, SPORT, DST, DPORT): prepend UDP and IP headers. *)
@@ -238,7 +238,7 @@ class udp_ip_encap name =
           | _ -> Error "UDPIPEncap expects SRC, SPORT, DST, DPORT")
       | _ -> Error "UDPIPEncap expects SRC, SPORT, DST, DPORT"
 
-    method private action p =
+    method private inplace p =
       let payload = Packet.length p in
       Packet.push p Udp.header_length;
       Udp.set_src_port p sport;
@@ -251,7 +251,7 @@ class udp_ip_encap name =
       ident <- (ident + 1) land 0xffff;
       (Packet.anno p).Packet.dst_ip <- dst;
       self#charge (Hooks.W_checksum Ip.min_header_length);
-      Some p
+      E.V_keep
   end
 
 (* EtherMirror: swap the Ethernet source and destination. *)
@@ -260,16 +260,16 @@ class ether_mirror name =
     inherit E.simple_action name
     method class_name = "EtherMirror"
 
-    method private action p =
+    method private inplace p =
       if Packet.length p >= Ether.header_length then begin
         let d = Ether.dst p and s = Ether.src p in
         Ether.set_dst p s;
         Ether.set_src p d;
-        Some p
+        E.V_keep
       end
       else begin
         self#drop ~reason:"no link header" p;
-        None
+        E.V_drop
       end
   end
 

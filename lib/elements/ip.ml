@@ -6,7 +6,7 @@ module Icmp = Headers.Icmp
 module Ether = Headers.Ether
 
 class paint name =
-  object (self)
+  object
     inherit E.simple_action name
     val mutable color = 0
     method class_name = "Paint"
@@ -16,11 +16,10 @@ class paint name =
       | Some c when c >= 0 -> Ok (color <- c)
       | _ -> Error "Paint expects a color"
 
-    method! private inplace p =
+    method private inplace p =
       (Packet.anno p).Packet.paint <- color;
       E.V_keep
 
-    method private action p = self#action_of_inplace p
     method! region_sem = Some (Region.Set_paint color)
   end
 
@@ -46,11 +45,9 @@ class check_paint name =
         self#output 1 c
       end
 
-    method! private inplace p =
+    method private inplace p =
       self#tee p;
       E.V_keep
-
-    method private action p = self#action_of_inplace p
 
     method! region_sem = Some (Region.Mutate (fun p -> self#tee p))
   end
@@ -66,7 +63,7 @@ class strip name =
       | Some n when n >= 0 -> Ok (nbytes <- n)
       | _ -> Error "Strip expects a byte count"
 
-    method! private inplace p =
+    method private inplace p =
       if Packet.length p >= nbytes then begin
         Packet.pull p nbytes;
         E.V_keep
@@ -75,8 +72,6 @@ class strip name =
         self#drop ~reason:"too short to strip" p;
         E.V_drop
       end
-
-    method private action p = self#action_of_inplace p
 
     method! region_sem =
       (* The shift lets the fusion pass translate downstream tree
@@ -93,7 +88,7 @@ class strip name =
   end
 
 class unstrip name =
-  object (self)
+  object
     inherit E.simple_action name
     val mutable nbytes = 0
     method class_name = "Unstrip"
@@ -103,11 +98,9 @@ class unstrip name =
       | Some n when n >= 0 -> Ok (nbytes <- n)
       | _ -> Error "Unstrip expects a byte count"
 
-    method! private inplace p =
+    method private inplace p =
       Packet.push p nbytes;
       E.V_keep
-
-    method private action p = self#action_of_inplace p
   end
 
 (* CheckIPHeader: validates version, header length, total length, and the
@@ -158,7 +151,12 @@ class check_ip_header name =
       if self#noutputs > 1 then self#output 1 p
       else self#drop ~reason:"bad IP header" p
 
-    method! private inplace p =
+    (* The default sem's barrier is needed here: [Packet.take] trims the
+       padding bytes beyond the IP length, so byte tests hoisted from
+       below could read trimmed bytes as nonzero that the interpreted walk
+       reads as zero-fill. Non-test stages (paint, address extraction, the
+       route lookup) still fuse past it. *)
+    method private inplace p =
       if self#check p then begin
         (* Trim link-layer padding beyond the IP length, like Click. *)
         let excess = Packet.length p - Ip.total_length p in
@@ -170,23 +168,7 @@ class check_ip_header name =
         E.V_drop
       end
 
-    method private action p = self#action_of_inplace p
-
     method! stats = [ ("drops", drops) ]
-
-    method! region_sem =
-      (* Barrier: [Packet.take] trims the padding bytes beyond the IP
-         length, so byte tests hoisted from below could read trimmed
-         bytes as nonzero that the interpreted walk reads as zero-fill.
-         Non-test stages (paint, address extraction, the route lookup)
-         still fuse past it. *)
-      Some
-        (Region.Guard
-           {
-             gd_shift = 0;
-             gd_barrier = true;
-             gd_run = (fun p -> self#inplace p = E.V_keep);
-           })
   end
 
 class get_ip_address name =
@@ -200,7 +182,7 @@ class get_ip_address name =
       | Some n when n >= 0 -> Ok (offset <- n)
       | _ -> Error "GetIPAddress expects a byte offset"
 
-    method! private inplace p =
+    method private inplace p =
       if Packet.length p >= offset + 4 then begin
         (Packet.anno p).Packet.dst_ip <- Packet.get_u32 p offset;
         E.V_keep
@@ -209,8 +191,6 @@ class get_ip_address name =
         self#drop ~reason:"too short for address" p;
         E.V_drop
       end
-
-    method private action p = self#action_of_inplace p
 
     method! region_sem =
       Some
@@ -223,7 +203,7 @@ class get_ip_address name =
   end
 
 class set_ip_address name =
-  object (self)
+  object
     inherit E.simple_action name
     val mutable addr = 0
     method class_name = "SetIPAddress"
@@ -233,11 +213,9 @@ class set_ip_address name =
       | Some a -> Ok (addr <- a)
       | None -> Error "SetIPAddress expects an IP address"
 
-    method! private inplace p =
+    method private inplace p =
       (Packet.anno p).Packet.dst_ip <- addr;
       E.V_keep
-
-    method private action p = self#action_of_inplace p
 
     method! region_sem =
       Some (Region.Mutate (fun p -> (Packet.anno p).Packet.dst_ip <- addr))
@@ -249,15 +227,13 @@ class drop_broadcasts name =
     val mutable drops = 0
     method class_name = "DropBroadcasts"
 
-    method! private inplace p =
+    method private inplace p =
       match (Packet.anno p).Packet.link_type with
       | Packet.Broadcast | Packet.Multicast ->
           drops <- drops + 1;
           self#drop ~reason:"link-level broadcast" p;
           E.V_drop
       | Packet.To_host | Packet.To_other -> E.V_keep
-
-    method private action p = self#action_of_inplace p
 
     method! stats = [ ("drops", drops) ]
   end
@@ -302,7 +278,7 @@ class ip_gw_options name =
       let hl = Ip.header_length p in
       hl = Ip.min_header_length || self#scan_options p hl Ip.min_header_length
 
-    method! private inplace p =
+    method private inplace p =
       if self#options_ok p then E.V_keep
       else begin
         problems <- problems + 1;
@@ -310,8 +286,6 @@ class ip_gw_options name =
          else self#drop ~reason:"bad IP options" p);
         E.V_drop
       end
-
-    method private action p = self#action_of_inplace p
 
     method! stats = [ ("problems", problems) ]
   end
@@ -327,7 +301,7 @@ class fix_ip_src name =
       | Some a -> Ok (my_addr <- a)
       | None -> Error "FixIPSrc expects the interface's IP address"
 
-    method! private inplace p =
+    method private inplace p =
       let anno = Packet.anno p in
       if anno.Packet.fix_ip_src then begin
         anno.Packet.fix_ip_src <- false;
@@ -337,8 +311,6 @@ class fix_ip_src name =
         Ip.update_checksum p
       end;
       E.V_keep
-
-    method private action p = self#action_of_inplace p
   end
 
 class dec_ip_ttl name =
@@ -349,7 +321,7 @@ class dec_ip_ttl name =
     method! port_count = "1/1-2"
     method! processing = "a/ah"
 
-    method! private inplace p =
+    method private inplace p =
       if Ip.ttl p <= 1 then begin
         expired <- expired + 1;
         (if self#noutputs > 1 then self#output 1 p
@@ -361,14 +333,12 @@ class dec_ip_ttl name =
         E.V_keep
       end
 
-    method private action p = self#action_of_inplace p
-
     method! stats = [ ("expired", expired) ]
   end
 
 class ip_fragmenter name =
   object (self)
-    inherit E.base name
+    inherit E.simple_action name
     val mutable mtu = 1500
     val mutable fragments = 0
     val mutable too_big = 0
@@ -381,12 +351,13 @@ class ip_fragmenter name =
       | Some m when m >= 68 -> Ok (mtu <- m)
       | _ -> Error "IPFragmenter expects an MTU of at least 68"
 
-    method! push _ p =
-      if Packet.length p <= mtu then self#output 0 p
+    method private inplace p =
+      if Packet.length p <= mtu then E.V_keep
       else if Ip.dont_fragment p then begin
         too_big <- too_big + 1;
         if self#noutputs > 1 then self#output 1 p
-        else self#drop ~reason:"DF set and too big" p
+        else self#drop ~reason:"DF set and too big" p;
+        E.V_drop
       end
       else begin
         (* Split the payload into MTU-sized fragments on 8-byte bounds. *)
@@ -423,24 +394,9 @@ class ip_fragmenter name =
         emit 0;
         (* The original is consumed; its payload lives on in the
            fragments, which are accounted as spawns. *)
-        self#drop ~reason:"fragmented" p
+        self#drop ~reason:"fragmented" p;
+        E.V_drop
       end
-
-    method! push_batch _ batch =
-      (* The common case is a whole batch of frames already under the
-         MTU: compact those and forward them in one transfer; anything
-         needing fragmentation takes the scalar slow path. *)
-      let n = Array.length batch in
-      let m = ref 0 in
-      for i = 0 to n - 1 do
-        let p = batch.(i) in
-        if Packet.length p <= mtu && not self#is_quarantined then begin
-          batch.(!m) <- p;
-          incr m
-        end
-        else self#guard (self#push 0) p
-      done;
-      if !m > 0 then self#output_batch 0 (self#sub_batch batch !m)
 
     method! stats = [ ("fragments", fragments); ("too_big", too_big) ]
   end
@@ -540,7 +496,7 @@ class icmp_error name =
   end
 
 class ether_encap name =
-  object (self)
+  object
     inherit E.simple_action name
     val mutable ethertype = 0
     val mutable src = Ethaddr.zero
@@ -565,11 +521,9 @@ class ether_encap name =
           | _ -> Error "EtherEncap expects ETHERTYPE, SRC, DST")
       | _ -> Error "EtherEncap expects ETHERTYPE, SRC, DST"
 
-    method! private inplace p =
+    method private inplace p =
       Ether.encap p ~dst ~src ~ethertype;
       E.V_keep
-
-    method private action p = self#action_of_inplace p
   end
 
 let register () =

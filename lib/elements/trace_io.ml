@@ -101,7 +101,7 @@ class to_trace name =
           chan <- Some oc;
           oc
 
-    method private action p =
+    method private inplace p =
       let ts = (Packet.anno p).Packet.timestamp_ns in
       let ts = if ts > 0 then ts else recorded in
       Buffer.clear line;
@@ -110,7 +110,7 @@ class to_trace name =
       let oc = self#channel in
       Buffer.output_buffer oc line;
       flush oc;
-      Some p
+      E.V_keep
 
     method! stats = [ ("recorded", recorded) ]
   end

@@ -200,6 +200,7 @@ let plan (elements : Element.t array) (out : (int * int) option array array)
   in
   let members = Hashtbl.create 8 in
   let absorbed = Hashtbl.create 8 in
+  let folded = ref false in
   (* The symbolic state: [shift] translates downstream tree offsets past
      the Strips seen so far; [paint] is the statically known paint color
      (for folding PaintSwitch); [barrier] forbids hoisting further tests
@@ -234,6 +235,7 @@ let plan (elements : Element.t array) (out : (int * int) option array array)
         continue j 0 ~shift ~paint:(Some c) ~barrier ~path
           ~ops:(K_eff j :: ops) ~facts
     | Some (Region.Paint_switch _) -> (
+        folded := true;
         match paint with
         | Some c when c >= 0 && c < (el j)#noutputs ->
             continue j c ~shift ~paint ~barrier ~path ~ops ~facts
@@ -318,10 +320,13 @@ let plan (elements : Element.t array) (out : (int * int) option array array)
       with
       | exception Too_big -> None
       | root ->
-          if Hashtbl.length members = 0 then
-            (* The region never crossed an element boundary; the
-               element's own [body] is the specialized (and cheaper)
-               form of the same semantics. *)
+          if Hashtbl.length members = 0 || (!ncount = 0 && not !folded) then
+            (* The region never crossed an element boundary, or it
+               decides nothing: no test node and no folded PaintSwitch,
+               so its one leaf action would run the same stages as the
+               per-element bodies through more closure layers (measured
+               slower on the IP router's output chains). The elements'
+               own [body]s are the cheaper form of the same semantics. *)
             None
           else
             Some
@@ -660,13 +665,12 @@ let compile ctx pl =
     let steps = Array.of_list (scalar_steps ops) in
     let exit = fst (exit_fn exitk) in
     let n = Array.length steps in
-    if n = 0 then exit
-    else
-      fun p ->
-        let rec go i =
-          if i >= n then exit p else if steps.(i) p then go (i + 1)
-        in
-        go 0
+    (* [go] is built once, outside the per-packet closure: defined inside
+       it, it would be allocated on every region entry. *)
+    let rec go i p =
+      if i >= n then exit p else if steps.(i) p then go (i + 1) p
+    in
+    if n = 0 then exit else fun p -> go 0 p
   in
   (* Leaf slot [l + 1] runs leaf action [l]; no leaf of the diagram is
      the drop leaf, so slot 0 is never taken. *)

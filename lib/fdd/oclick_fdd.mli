@@ -92,10 +92,13 @@ val plan_regions :
     [None] also where fusion is not worthwhile or not sound: the entry
     exposes no usable {!Oclick_runtime.Region.sem}, the region never
     absorbs a second element (the element's own {!body} is already the
-    best form), or the diagram outgrew the node/action budgets. A
-    wire mangler on a source ends the region there (fault injection
-    rewrites bytes mid-cascade, invalidating hoisted tests). [None]
-    never loses correctness, only the cross-element optimization. *)
+    best form), the region decides nothing (no test node and no folded
+    PaintSwitch: its one leaf action would run the same stages as the
+    per-element bodies, through more closure layers), or the diagram
+    outgrew the node/action budgets. A wire mangler on a source ends the
+    region there (fault injection rewrites bytes mid-cascade,
+    invalidating hoisted tests). [None] never loses correctness, only
+    the cross-element optimization. *)
 
 type fused = {
   fu_scalar : Packet.t -> unit;  (** the push body for one packet *)

@@ -6,16 +6,6 @@ type init_ctx = {
   ic_index : int;
 }
 
-(* Context handed to [fuse] by the graph compiler: [fc_out port] is the
-   compiled connection closure for this element's output [port] — calling
-   it is exactly [output port p] on the compiled path. [fc_lean_work]
-   tells the element whether the installed hooks ignore work charges, so
-   a compiled body may specialize the charge away. *)
-and fuse_ctx = {
-  fc_out : int -> Oclick_packet.Packet.t -> unit;
-  fc_lean_work : bool;
-}
-
 and t = <
   name : string;
   class_name : string;
@@ -45,7 +35,6 @@ and t = <
   batch_size : int;
   set_batch_size : int -> unit;
   set_pool : Oclick_packet.Packet.Pool.t option -> unit;
-  fuse : fuse_ctx -> (Oclick_packet.Packet.t -> unit) option;
   region_sem : Region.sem option;
   set_fused :
     out:(Oclick_packet.Packet.t -> unit) array ->
@@ -72,13 +61,10 @@ let fatal = function
   | Out_of_memory | Stack_overflow | Sys.Break -> true
   | _ -> false
 
-(* Verdict of a simple_action element's in-place fast path. All three
-   constructors are immediates, so elements whose action mutates the
-   packet in place (the common case on the forwarding path) report
-   keep/drop without boxing a [Packet.t option] per packet. [V_defer]
-   (the default) routes through the option-returning [action], for
-   elements that may substitute a different packet. *)
-type verdict = V_keep | V_drop | V_defer
+(* Verdict of a simple_action element's body. Both constructors are
+   immediates, so keep/drop travels without boxing a [Packet.t option]
+   per packet. *)
+type verdict = V_keep | V_drop
 
 (* Shared fill value for scratch batch arrays; never read before a real
    packet is written over it. *)
@@ -299,9 +285,6 @@ class virtual base (name : string) =
              !consecutive_faults reason)
       end
 
-    method fuse (_ : fuse_ctx) : (Oclick_packet.Packet.t -> unit) option =
-      None
-
     method region_sem : Region.sem option = None
 
     method set_fused ~out ~out_batch =
@@ -502,46 +485,23 @@ class virtual simple_action (name : string) =
   object (self)
     inherit base name
 
-    method virtual private action
-        : Oclick_packet.Packet.t -> Oclick_packet.Packet.t option
+    (* The element's one body: mutate [p] in place and answer whether it
+       continues on output 0. Side outputs and drops go through
+       [output]/[drop] inside the body. *)
+    method virtual private inplace : Oclick_packet.Packet.t -> verdict
 
-    (* In-place fast path: an element whose action never substitutes a
-       different packet overrides this with its real body (mutating [p]
-       and answering [V_keep]/[V_drop]) and leaves [action] delegating to
-       it, so every transfer path below checks the unboxed verdict first
-       and only falls back to the allocating [action] on [V_defer]. *)
-    method private inplace (_ : Oclick_packet.Packet.t) : verdict = V_defer
-
-    (* The delegation body for in-place elements' [action]: boxes the
-       verdict only for callers that need the option form. *)
-    method private action_of_inplace p =
-      match self#inplace p with
-      | V_keep -> Some p
-      | V_drop -> None
-      | V_defer -> invalid_arg (name ^ ": inplace deferred to itself")
-
-    method! push _ p =
-      match self#inplace p with
-      | V_keep -> self#output 0 p
-      | V_drop -> ()
-      | V_defer -> (
-          match self#action p with Some p -> self#output 0 p | None -> ())
+    method! push _ p = if self#inplace p = V_keep then self#output 0 p
 
     method! pull _ =
       match self#input_pull 0 with
-      | Some p as r -> (
-          match self#inplace p with
-          | V_keep -> r
-          | V_drop -> None
-          | V_defer -> self#action p)
+      | Some p as r -> if self#inplace p = V_keep then r else None
       | None -> None
 
     method! push_batch _ batch =
-      (* Generic batched fast path for every simple_action element:
-         apply [action] to each packet, compacting survivors in place,
-         then forward the whole surviving prefix in one transfer. The
-         batch array is scratch — callers must not rely on its contents
-         after push_batch returns. *)
+      (* Run the body over the batch, compacting survivors in place, then
+         forward the whole surviving prefix in one transfer. The batch
+         array is scratch — callers must not rely on its contents after
+         push_batch returns. *)
       let n = Array.length batch in
       let m = ref 0 in
       for i = 0 to n - 1 do
@@ -554,34 +514,22 @@ class virtual simple_action (name : string) =
               incr m;
               consecutive_faults := 0
           | V_drop -> consecutive_faults := 0
-          | V_defer -> (
-              match self#action p with
-              | Some q ->
-                  batch.(!m) <- q;
-                  incr m;
-                  consecutive_faults := 0
-              | None -> consecutive_faults := 0
-              | exception e when not (fatal e) ->
-                  self#record_fault (Printexc.to_string e);
-                  self#drop ~reason:"element fault" p)
           | exception e when not (fatal e) ->
               self#record_fault (Printexc.to_string e);
               self#drop ~reason:"element fault" p
       done;
       if !m > 0 then self#output_batch 0 (self#sub_batch batch !m)
 
-    method! fuse ctx =
-      (* The generic compiled body for every simple_action element
-         without a sem: exactly [push], with the downstream transfer
-         already resolved to the compiled connection closure. *)
-      let k = ctx.fc_out 0 in
+    (* The barrier is the safe default: a body may rewrite bytes or
+       lengths. Elements whose sem can say more override this. *)
+    method! region_sem =
       Some
-        (fun p ->
-          match self#inplace p with
-          | V_keep -> k p
-          | V_drop -> ()
-          | V_defer -> (
-              match self#action p with Some q -> k q | None -> ()))
+        (Region.Guard
+           {
+             gd_shift = 0;
+             gd_barrier = true;
+             gd_run = (fun p -> self#inplace p = V_keep);
+           })
   end
 
 let configure_error msg = Error msg

@@ -20,18 +20,6 @@ type init_ctx = {
   ic_index : int;  (** the index of the element being initialized *)
 }
 
-(** Context handed to {!base.fuse} by the graph compiler
-    ({!Oclick_compile}): [fc_out port] is the compiled connection closure
-    for the element's output [port] — calling it has exactly the
-    semantics of [output port] on the compiled path (mangle, quarantine,
-    hook report, containment). [fc_lean_work] is whether the installed
-    hooks ignore {!Hooks.t.on_work} charges, so a compiled body may
-    specialize the charge away. *)
-and fuse_ctx = {
-  fc_out : int -> Oclick_packet.Packet.t -> unit;
-  fc_lean_work : bool;
-}
-
 (* The full element interface (the object type every element is coerced
    to). *)
 and t = <
@@ -63,7 +51,6 @@ and t = <
   batch_size : int;
   set_batch_size : int -> unit;
   set_pool : Oclick_packet.Packet.Pool.t option -> unit;
-  fuse : fuse_ctx -> (Oclick_packet.Packet.t -> unit) option;
   region_sem : Region.sem option;
   set_fused :
     out:(Oclick_packet.Packet.t -> unit) array ->
@@ -85,12 +72,12 @@ and t = <
   drop : reason:string -> Oclick_packet.Packet.t -> unit;
   note_ok : unit >
 
-(** Verdict of a {!simple_action} element's in-place fast path. All
-    three constructors are immediates, so keep/drop travels without
-    boxing a [Packet.t option] per packet on the batched and fused
-    transfer paths; [V_defer] routes through the element's
-    option-returning [action]. *)
-type verdict = V_keep | V_drop | V_defer
+(** Verdict of a {!simple_action} element's body: [V_keep] continues on
+    output 0, [V_drop] means the body consumed the packet (dropped it
+    with its own reason, or sent it down a side output). Both
+    constructors are immediates, so keep/drop travels without boxing a
+    [Packet.t option] per packet. *)
+type verdict = V_keep | V_drop
 
 class virtual base : string -> object
   val mutable clock : unit -> int
@@ -188,24 +175,16 @@ class virtual base : string -> object
   (** {2 Graph compilation}
 
       The runtime graph compiler ({!Oclick_compile}) replaces interpreted
-      dispatch with direct-call closures, one compiled body per element.
-      An element with a {!region_sem} gets the body its sem describes;
-      [fuse] is only for elements without one. It returns a closure with
-      exactly the semantics of [push] (for {e any} input port),
-      transferring downstream through [ctx.fc_out] instead of {!output}.
-      Elements with neither keep dynamic [push] dispatch behind a
-      compiled connection — compilation never changes semantics, only
-      the call path. *)
-
-  method fuse : fuse_ctx -> (Oclick_packet.Packet.t -> unit) option
-  (** Default [None]: not fusable, the compiler calls [push] dynamically.
-      Never called on an element with a {!region_sem}. *)
+      dispatch with direct-call closures. An element with a {!region_sem}
+      gets the body its sem describes; every other element keeps dynamic
+      [push] dispatch behind a compiled connection — compilation never
+      changes semantics, only the call path. *)
 
   method region_sem : Region.sem option
   (** The element's push semantics in match-action terms (see {!Region}):
       the compiler derives the element's compiled body from it, and the
-      FDD pass fuses it across elements. Default [None]: the element is
-      opaque to fusion and ends any region reaching it. *)
+      FDD pass fuses it across elements. Default [None]: the compiler
+      calls [push], and the element ends any region reaching it. *)
 
   method set_fused :
     out:(Oclick_packet.Packet.t -> unit) array ->
@@ -323,32 +302,27 @@ class virtual base : string -> object
 end
 
 (** Click's [simple_action] sugar: one agnostic input, one agnostic
-    output, a per-packet transformation. Both [push] and [pull] are
-    derived from {!action}, so the element genuinely works in either
-    context. (The shared dispatch site this creates in real Click is what
+    output, one per-packet body. [push], [pull], [push_batch] and a
+    default {!region_sem} are all derived from {!inplace}, so the element
+    genuinely works in either context and states its semantics once.
+    (The shared dispatch site this creates in real Click is what
     confuses the branch predictor — paper §3 footnote; the cycle model
     accounts for it per class.) *)
 class virtual simple_action : string -> object
   inherit base
 
-  method virtual private action :
-    Oclick_packet.Packet.t -> Oclick_packet.Packet.t option
-  (** Transform a packet; [None] means the element consumed (dropped) it. *)
+  method virtual private inplace : Oclick_packet.Packet.t -> verdict
+  (** The element's body: mutate the packet in place (growing it with
+      [Packet.push] keeps the same packet) and answer {!V_keep} to
+      continue on output 0, or {!V_drop} once the body has dropped it or
+      sent it down a side output through {!output}. *)
 
-  method private inplace : Oclick_packet.Packet.t -> verdict
-  (** In-place fast path, checked before {!action} on every transfer
-      path. The default answers {!V_defer} (route through [action]). An
-      element whose action never substitutes a different packet should
-      put its real body here — mutate the packet, answer {!V_keep} or
-      {!V_drop} — and define [action] as {!action_of_inplace}: the
-      batched and fused paths then move packets without boxing a
-      [Packet.t option] per packet. *)
-
-  method private action_of_inplace :
-    Oclick_packet.Packet.t -> Oclick_packet.Packet.t option
-  (** The delegation body for in-place elements' [action]: runs
-      {!inplace} and boxes its verdict, for callers that need the option
-      form. *)
+  method region_sem : Region.sem option
+  (** Default: [Guard { gd_shift = 0; gd_barrier = true; gd_run }] with
+      [gd_run p = (inplace p = V_keep)]. The barrier is the safe default,
+      because a body may rewrite bytes or lengths; an element whose sem
+      can say more (a shift, no barrier, a paint the fusion pass folds)
+      overrides it. *)
 end
 
 val configure_error : string -> ('a, string) result

@@ -4,21 +4,21 @@
     An element may expose, through {!Element.base.region_sem}, a
     description of what its push path {e means} in match-action terms.
     The graph compiler ({!Oclick_compile}) derives the element's compiled
-    body from it ([Oclick_fdd.body]) and never asks such an element to
-    [fuse]. Under [~fuse:true] the FDD pass ([lib/fdd]) also walks a push
-    region over these descriptions and collapses the whole cascade —
-    classifier trees, paint writes and switches, header guards, a route
-    lookup — into one forwarding decision diagram evaluated as a single
-    compiled closure.
+    body from it ([Oclick_fdd.body]). Under [~fuse:true] the FDD pass
+    ([lib/fdd]) also walks a push region over these descriptions and
+    collapses the whole cascade — classifier trees, paint writes and
+    switches, header guards, a route lookup — into one forwarding
+    decision diagram evaluated as a single compiled closure.
 
     Every closure carried here must have exactly the semantics of the
     element's [push] (charges, drop reasons, annotation writes), because
     the compiled and fused paths are required to replay the interpreted
     run's observable behaviour — outcome totals, per-hop obs ledgers,
-    drop reasons — byte for byte. Elements whose push path cannot be
-    described this way simply keep the default ([None]) and end the
-    region; compilation never changes semantics, only the evaluation
-    path. *)
+    drop reasons — byte for byte. Every {!Element.simple_action} has a
+    sem by default: a barrier {!Guard} that runs its one [inplace] body.
+    Elements whose push path cannot be described this way simply keep
+    the default ([None]) and end the region; compilation never changes
+    semantics, only the evaluation path. *)
 
 module Tree = Oclick_classifier.Tree
 module Packet = Oclick_packet.Packet

@@ -654,8 +654,9 @@ class faulty_guard name =
     inherit Oclick_runtime.Element.simple_action name
     method class_name = "Test@FaultyGuard"
 
-    method private action p =
-      if Packet.get_u8 p 1 = 0xee then failwith "injected guard bug" else Some p
+    method private inplace p =
+      if Packet.get_u8 p 1 = 0xee then failwith "injected guard bug"
+      else Oclick_runtime.Element.V_keep
 
     method! region_sem =
       Some
@@ -663,7 +664,7 @@ class faulty_guard name =
            {
              gd_shift = 0;
              gd_barrier = false;
-             gd_run = (fun p -> Option.is_some (self#action p));
+             gd_run = (fun p -> self#inplace p = Oclick_runtime.Element.V_keep);
            })
   end
 
@@ -800,6 +801,178 @@ let test_region_counts_vectors () =
       | rs ->
           Alcotest.failf "%d regions on the cascade, want 1" (List.length rs))
 
+(* --- simple_action stages under the default sem ------------------------ *)
+
+(* Every simple_action is a region stage through the default barrier
+   Guard its one [inplace] body gives it. Here a classifier fans out into
+   the stages whose bodies grow, rewrite or replace packets: the two
+   encapsulators, EtherMirror (which drops frames without a link
+   header), Unstrip, EtherEncap, and IPFragmenter with both outputs. *)
+let converted_config =
+  "FromDevice(eth0) -> c :: Classifier(12/0800, 0/01, 0/02, 0/03, 0/04, \
+   0/05, -);\n\
+   c [0] -> Strip(14) -> f :: IPFragmenter(576) -> Queue(512) -> \
+   ToDevice(eth0);\n\
+   f [1] -> Queue(512) -> ToDevice(eth1);\n\
+   c [1] -> ie :: IPEncap(17, 10.0.0.1, 10.0.0.2) -> Queue(512) -> \
+   ToDevice(eth2);\n\
+   c [2] -> ue :: UDPIPEncap(10.0.0.1, 1234, 10.0.0.2, 5678) -> Queue(512) \
+   -> ToDevice(eth3);\n\
+   c [3] -> em :: EtherMirror -> Queue(512) -> ToDevice(eth4);\n\
+   c [4] -> us :: Unstrip(4) -> Queue(512) -> ToDevice(eth5);\n\
+   c [5] -> ee :: EtherEncap(0x0800, 00:00:c0:aa:00:01, 00:00:c0:bb:00:02) \
+   -> Queue(512) -> ToDevice(eth6);\n\
+   c [6] -> Discard;"
+
+(* IP frames below and above IPFragmenter's MTU, a third of them with DF
+   set, between two blocks of short frames for the other stages, some too
+   short for EtherMirror. The fragmenter's frames form
+   one contiguous block: it emits fragments as it makes them, while the
+   frames it keeps leave with their vector, so within one vector the
+   fragments of a later classifier run would overtake frames kept from
+   an earlier run (the bucket order that batching allows, DESIGN §9). *)
+let converted_script ~seed =
+  let rng = Fault.Rng.create ~seed in
+  let short () =
+    List.init 40 (fun _ ->
+        let b0 = 1 + Fault.Rng.int rng 6 in
+        let len = if b0 = 3 && Fault.Rng.coin rng 0.3 then 10 else 60 in
+        let p = Packet.create len in
+        for i = 0 to len - 1 do
+          Packet.set_u8 p i (Fault.Rng.int rng 256)
+        done;
+        Packet.set_u8 p 0 b0;
+        if len > 12 then Packet.set_u8 p 12 0x12;
+        (0, p))
+  in
+  let ip =
+    List.init 48 (fun _ ->
+        let big = Fault.Rng.coin rng 0.6 in
+        let payload_len =
+          if big then 600 + Fault.Rng.int rng 850 else 14 + Fault.Rng.int rng 400
+        in
+        let p =
+          Headers.Build.udp ~src_ip:(Ipaddr.of_octets 10 0 0 9)
+            ~dst_ip:(Ipaddr.of_octets 10 0 1 (Fault.Rng.int rng 250))
+            ~payload_len ()
+        in
+        let df = Fault.Rng.coin rng 0.33 in
+        Headers.Ip.set_flags_fragment ~off:14 p ~df ~mf:false ~frag:0;
+        Headers.Ip.update_checksum ~off:14 p;
+        (0, p))
+  in
+  short () @ ip @ short ()
+
+let test_converted_stages () =
+  let graph = parse_exn "converted" converted_config in
+  List.iter
+    (fun batch ->
+      for seed = 1 to 3 do
+        check_three_way
+          ~ctx:(Printf.sprintf "converted stages seed %d" seed)
+          ~batch ~script:(converted_script ~seed) graph
+      done)
+    vector_batches;
+  let o =
+    play ~ctx:"converted" ~batch:32 ~mode:`Fuse
+      ~script:(converted_script ~seed:1) graph
+  in
+  check_bool "fragments spawned" true (o.o_spawns > 0);
+  check_bool "DF frames left by output 1" true (o.o_emitted.(1) <> []);
+  check_bool "EtherMirror dropped a short frame" true
+    (List.mem_assoc "no link header" o.o_drops);
+  match Oclick_compile.last_stats () with
+  | None -> Alcotest.fail "no compile stats"
+  | Some st ->
+      List.iter
+        (fun name ->
+          check_bool
+            (name ^ " is a member of a region with decision nodes")
+            true
+            (List.exists
+               (fun (r : Fdd.region) ->
+                 r.Fdd.rg_nodes > 0 && List.mem name r.Fdd.rg_members)
+               st.Oclick_compile.st_regions))
+        [ "f"; "ie"; "ue"; "em"; "us"; "ee" ]
+
+(* --- the planner -------------------------------------------------------- *)
+
+let fused_regions config =
+  match Driver.of_string ~fuse:true config with
+  | Error e -> Alcotest.failf "instantiate: %s" e
+  | Ok _ -> (
+      match Oclick_compile.last_stats () with
+      | Some st -> st.Oclick_compile.st_regions
+      | None -> Alcotest.fail "no compile stats")
+
+(* A region that decides nothing — no test node, no folded PaintSwitch —
+   would run the same stages as the per-element bodies through more
+   closure layers, so the planner builds none. *)
+let test_decision_free_chain () =
+  let regions =
+    fused_regions
+      "Idle -> Paint(1) -> Strip(14) -> CheckIPHeader -> GetIPAddress(16)\n\
+      \  -> rt :: LookupIPRoute(10.0.0.0/24 0, 0.0.0.0/0 1);\n\
+       rt [0] -> Discard;\n\
+       rt [1] -> Discard;"
+  in
+  check "regions on a decision-free chain" 0 (List.length regions)
+
+let test_paint_switch_fold () =
+  match
+    fused_regions
+      "Idle -> p :: Paint(1) -> s :: PaintSwitch;\n\
+       s [0] -> Discard;\n\
+       s [1] -> Queue(8) -> Discard;"
+  with
+  | [ r ] ->
+      Alcotest.(check string) "rooted at the Paint" "p" r.Fdd.rg_entry;
+      Alcotest.(check (list string)) "absorbs the switch" [ "s" ]
+        r.Fdd.rg_members;
+      check "no test node" 0 r.Fdd.rg_nodes
+  | rs ->
+      Alcotest.failf "%d regions on Paint -> PaintSwitch, want 1"
+        (List.length rs)
+
+(* --- allocation --------------------------------------------------------- *)
+
+(* A packet entering a region through the scalar body allocates nothing
+   once the region is built: the body's leaf-action walk is a closure
+   made at compile time, not per packet. *)
+let test_scalar_region_allocation () =
+  let d =
+    match
+      Driver.of_string ~fuse:true
+        "src :: Idle -> c1 :: Classifier(12/0800, -);\n\
+         c1 [0] -> c2 :: Classifier(30/01, -);\n\
+         c1 [1] -> Discard;\n\
+         c2 [0] -> Discard;\n\
+         c2 [1] -> Discard;"
+    with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "instantiate: %s" e
+  in
+  (match Oclick_compile.last_stats () with
+  | Some { Oclick_compile.st_regions = [ r ]; _ } ->
+      Alcotest.(check (list string)) "c2 absorbed" [ "c2" ] r.Fdd.rg_members
+  | _ -> Alcotest.fail "want one region");
+  let src = Option.get (Driver.element d "src") in
+  let p = Packet.create 60 in
+  Packet.set_u8 p 12 0x08;
+  Packet.set_u8 p 30 0x01;
+  let n = 100_000 in
+  for _ = 1 to 1000 do
+    src#output 0 p
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    src#output 0 p
+  done;
+  let per_packet = (Gc.minor_words () -. before) /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.2f minor words per packet, want < 1" per_packet)
+    true (per_packet < 1.0)
+
 let () =
   Alcotest.run "fdd"
     [
@@ -818,6 +991,7 @@ let () =
             test_testbed_differential;
           Alcotest.test_case "obs ledger equality" `Quick
             test_obs_ledger_equality;
+          Alcotest.test_case "converted stages" `Quick test_converted_stages;
         ] );
       ( "vector",
         [
@@ -838,5 +1012,13 @@ let () =
         [
           Alcotest.test_case "install region stats" `Quick
             test_install_region_stats;
+          Alcotest.test_case "scalar region allocation" `Quick
+            test_scalar_region_allocation;
+        ] );
+      ( "planner",
+        [
+          Alcotest.test_case "decision-free chain" `Quick
+            test_decision_free_chain;
+          Alcotest.test_case "paint switch fold" `Quick test_paint_switch_fold;
         ] );
     ]
