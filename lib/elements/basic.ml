@@ -333,14 +333,14 @@ class queue name =
             end
 
     method! push _ p =
-      if not self#lean_work then self#charge Hooks.W_queue;
+      if not lean_work then self#charge Hooks.W_queue;
       self#enqueue p
 
     method! pull _ =
       match ring with
       | Some r -> Spsc.pop r
       | None ->
-          self#charge Hooks.W_queue;
+          if not lean_work then self#charge Hooks.W_queue;
           Fifo.take_opt q
 
     method! push_batch _ batch =
@@ -350,7 +350,7 @@ class queue name =
          and the overflow tail is dropped without re-testing per
          packet. *)
       let n = Array.length batch in
-      self#charge Hooks.W_queue;
+      if not lean_work then self#charge Hooks.W_queue;
       match ring with
       | Some _ ->
           for i = 0 to n - 1 do
@@ -383,7 +383,7 @@ class queue name =
       | None ->
           let want = min (Array.length dst) (Fifo.length q) in
           if want > 0 then begin
-            self#charge Hooks.W_queue;
+            if not lean_work then self#charge Hooks.W_queue;
             for i = 0 to want - 1 do
               dst.(i) <- Fifo.take q
             done

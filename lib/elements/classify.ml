@@ -38,7 +38,7 @@ class virtual tree_classifier name =
     method! push _ p =
       let packed = Tree.classify_packed tree p in
       let out = Tree.packed_output packed in
-      if not self#lean_work then
+      if not lean_work then
         self#charge (self#work (Tree.packed_visited packed));
       if out >= 0 && out < self#noutputs then self#output out p
       else begin
@@ -70,7 +70,8 @@ class virtual tree_classifier name =
               self#drop ~reason:"element fault" batch.(i);
               ports.(i) <- consumed
       done;
-      if !visited_total > 0 then self#charge (self#work !visited_total);
+      if (not lean_work) && !visited_total > 0 then
+        self#charge (self#work !visited_total);
       emit_runs self ports batch n ~on_invalid:(fun p ->
           dropped <- dropped + 1;
           self#drop ~reason:"classified to no output" p)

@@ -52,7 +52,8 @@ class ip_input_combo name =
       && Ip.total_length p >= Ip.header_length p
       && Ip.total_length p <= Packet.length p
       && begin
-           self#charge (Hooks.W_checksum (Ip.header_length p));
+           if not lean_work then
+             self#charge (Hooks.W_checksum (Ip.header_length p));
            Ip.checksum_valid p
          end
       && not (List.mem (Ip.src p) bad_src)
@@ -136,7 +137,8 @@ class ip_output_combo name =
               let optlen = if off + 1 < hl then Packet.get_u8 p (off + 1) else 0 in
               if optlen < 2 || off + optlen > hl then false
               else begin
-                self#charge (Hooks.W_custom ("ip-option", optlen));
+                if not lean_work then
+                  self#charge (Hooks.W_custom ("ip-option", optlen));
                 scan (off + optlen)
               end
           | _ -> false
@@ -170,7 +172,8 @@ class ip_output_combo name =
             if anno.Packet.fix_ip_src then begin
               anno.Packet.fix_ip_src <- false;
               Ip.set_src p my_addr;
-              self#charge (Hooks.W_checksum (Ip.header_length p));
+              if not lean_work then
+                self#charge (Hooks.W_checksum (Ip.header_length p));
               Ip.update_checksum p
             end;
             if Ip.ttl p <= 1 then begin

@@ -126,7 +126,7 @@ class front_drop_queue name =
       | _ -> Error "FrontDropQueue takes at most one argument"
 
     method! push _ p =
-      self#charge Hooks.W_queue;
+      if not lean_work then self#charge Hooks.W_queue;
       if Queue.length q >= capacity then begin
         let old = Queue.pop q in
         drops <- drops + 1;
@@ -135,7 +135,7 @@ class front_drop_queue name =
       Queue.add p q
 
     method! pull _ =
-      self#charge Hooks.W_queue;
+      if not lean_work then self#charge Hooks.W_queue;
       Queue.take_opt q
 
     method! stats =
@@ -204,7 +204,8 @@ class ip_encap name =
         ~total_length:(Packet.length p) ~ident ();
       ident <- (ident + 1) land 0xffff;
       (Packet.anno p).Packet.dst_ip <- dst;
-      self#charge (Hooks.W_checksum Ip.min_header_length);
+      if not lean_work then
+        self#charge (Hooks.W_checksum Ip.min_header_length);
       E.V_keep
   end
 
@@ -250,7 +251,8 @@ class udp_ip_encap name =
         ~total_length:(Packet.length p) ~ident ();
       ident <- (ident + 1) land 0xffff;
       (Packet.anno p).Packet.dst_ip <- dst;
-      self#charge (Hooks.W_checksum Ip.min_header_length);
+      if not lean_work then
+        self#charge (Hooks.W_checksum Ip.min_header_length);
       E.V_keep
   end
 
@@ -300,7 +302,8 @@ class icmp_ping_responder name =
         Icmp.set_type ~off:hl p Icmp.type_echo_reply;
         Icmp.update_checksum ~off:hl p ~len:(Packet.length p - hl);
         (Packet.anno p).Packet.dst_ip <- s;
-        self#charge (Hooks.W_checksum (Packet.length p));
+        if not lean_work then
+          self#charge (Hooks.W_checksum (Packet.length p));
         replies <- replies + 1;
         self#output 0 p
       end

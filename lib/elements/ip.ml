@@ -140,7 +140,7 @@ class check_ip_header name =
       && Ip.total_length p >= Ip.header_length p
       && Ip.total_length p <= Packet.length p
       && begin
-           if not self#lean_work then
+           if not lean_work then
              self#charge (Hooks.W_checksum (Ip.header_length p));
            Ip.checksum_valid p
          end
@@ -269,7 +269,8 @@ class ip_gw_options name =
             let optlen = if off + 1 < hl then Packet.get_u8 p (off + 1) else 0 in
             if optlen < 2 || off + optlen > hl then false
             else begin
-              self#charge (Hooks.W_custom ("ip-option", optlen));
+              if not lean_work then
+                self#charge (Hooks.W_custom ("ip-option", optlen));
               self#scan_options p hl (off + optlen)
             end
         | _ -> false
@@ -306,7 +307,7 @@ class fix_ip_src name =
       if anno.Packet.fix_ip_src then begin
         anno.Packet.fix_ip_src <- false;
         Ip.set_src p my_addr;
-        if not self#lean_work then
+        if not lean_work then
           self#charge (Hooks.W_checksum (Ip.header_length p));
         Ip.update_checksum p
       end;
@@ -375,7 +376,7 @@ class ip_fragmenter name =
             Packet.set_string frag ~pos:0 header;
             Packet.set_string frag ~pos:hl
               (Packet.get_string p ~pos:(hl + off) ~len:this_len);
-            self#charge (Hooks.W_copy (hl + this_len));
+            if not lean_work then self#charge (Hooks.W_copy (hl + this_len));
             Ip.set_total_length frag (hl + this_len);
             Ip.set_flags_fragment frag ~df:false
               ~mf:((not last) || more_after)
@@ -482,7 +483,7 @@ class icmp_error name =
         Packet.set_string e ~pos:(ioff + 8)
           (Packet.get_string p ~pos:0 ~len:quoted);
         Icmp.update_checksum ~off:ioff e ~len:icmp_len;
-        self#charge (Hooks.W_checksum icmp_len);
+        if not lean_work then self#charge (Hooks.W_checksum icmp_len);
         let anno = Packet.anno e in
         anno.Packet.dst_ip <- Ip.src p;
         anno.Packet.fix_ip_src <- true;

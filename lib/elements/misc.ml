@@ -28,7 +28,7 @@ class align name =
       if Packet.data_offset p mod modulus <> offset then begin
         Packet.realign p ~modulus ~offset;
         copies <- copies + 1;
-        self#charge (Hooks.W_copy (Packet.length p))
+        if not lean_work then self#charge (Hooks.W_copy (Packet.length p))
       end
 
     method! push _ p =

@@ -205,7 +205,7 @@ class ip_rewriter name =
       Packet.set_u16 p l4 target.f_sport;
       Packet.set_u16 p (l4 + 2) target.f_dport;
       Ip.update_checksum p;
-      self#charge (Hooks.W_checksum (Packet.length p));
+      if not lean_work then self#charge (Hooks.W_checksum (Packet.length p));
       if Ip.protocol p = Ip.proto_udp then Headers.L4.update_udp p ~ip_off:0
       else Headers.L4.update_tcp p ~ip_off:0;
       (Packet.anno p).Packet.dst_ip <- target.f_daddr

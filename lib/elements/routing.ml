@@ -127,7 +127,7 @@ class linear_ip_lookup name =
           end
 
     method! push _ p =
-      let port = self#route ~lean_work:self#lean_work self#noutputs p in
+      let port = self#route ~lean_work self#noutputs p in
       if port >= 0 then self#output port p
 
     method! push_batch _ batch =
@@ -162,7 +162,8 @@ class linear_ip_lookup name =
               ports.(i) <- r.rt_port
         end
       done;
-      if !scanned_total > 0 then self#charge (Hooks.W_lookup !scanned_total);
+      if (not lean_work) && !scanned_total > 0 then
+        self#charge (Hooks.W_lookup !scanned_total);
       emit_runs self ports batch bn ~on_invalid:(fun p ->
           self#drop ~reason:"route to unconnected port" p)
 
@@ -336,7 +337,7 @@ class trie_ip_lookup cls name =
       end
 
     method! push _ p =
-      let port = self#route ~lean_work:self#lean_work self#noutputs p in
+      let port = self#route ~lean_work self#noutputs p in
       if port >= 0 then self#output port p
 
     method! push_batch _ batch =
@@ -375,7 +376,8 @@ class trie_ip_lookup cls name =
             ports.(i) <- Lpm.port trie nh
           end
         done;
-        if touches > 0 then self#charge (Hooks.W_lookup touches);
+        if (not lean_work) && touches > 0 then
+          self#charge (Hooks.W_lookup touches);
         emit_runs self ports batch bn ~on_invalid:(fun p ->
             self#drop ~reason:"route to unconnected port" p)
       end

@@ -94,20 +94,16 @@ end
 (* ------------------------------------------------------------------ *)
 (* Per-element accumulators *)
 
+(* What belongs to one element rather than to a connection: its name
+   and class, drops by reason, spawns, pool recycles and the two cost
+   columns. Packets and invocations are counted per connection, in the
+   cells below, and folded into the per-element view on demand. *)
 type elem = {
   mutable el_name : string;
   mutable el_class : string;
-  mutable el_pushes : int;
-  mutable el_pulls : int;
-  mutable el_batches : int;
-  mutable el_in : int;
-  mutable el_out : int;
-  mutable el_in_ports : int array;
-  mutable el_out_ports : int array;
   el_drop_reasons : (string, int ref) Hashtbl.t;
   mutable el_drops : int;
   mutable el_spawns : int;
-  mutable el_work : int;
   mutable el_recycles : int;
   mutable el_sim_ns : int;
   mutable el_wall_ns : int;
@@ -117,38 +113,85 @@ let fresh_elem () =
   {
     el_name = "";
     el_class = "";
-    el_pushes = 0;
-    el_pulls = 0;
-    el_batches = 0;
-    el_in = 0;
-    el_out = 0;
-    el_in_ports = [||];
-    el_out_ports = [||];
     el_drop_reasons = Hashtbl.create 4;
     el_drops = 0;
     el_spawns = 0;
-    el_work = 0;
     el_recycles = 0;
     el_sim_ns = 0;
     el_wall_ns = 0;
   }
 
+(* Connection cells. A transfer report names the element that initiated
+   it and one of that element's ports: a push its output port, a pull
+   its input port. A configuration uses each such port in one
+   connection only (push outputs and pull inputs are single-use), so
+   the peer at the other end is fixed; it is learned the first time the
+   port reports. [cells.(idx)] holds [cell_width] ints per port of
+   element [idx]: a push slot, then a pull slot, each holding packets
+   moved, scalar invocations, batched invocations and the learned peer
+   ([-1] until learned). *)
+let slot_width = 4
+let cell_width = 2 * slot_width
+let c_packets = 0
+let c_scalar = 1
+let c_batched = 2
+let c_peer = 3
+
+(* A learned peer, packed: element index and port. *)
+let port_bits = 24
+let peer_code idx port = (idx lsl port_bits) lor port
+let peer_idx code = code lsr port_bits
+let peer_port code = code land ((1 lsl port_bits) - 1)
+
 type t = {
   mutable elems : elem array;  (* grow-on-demand, indexed by element idx *)
+  mutable cells : int array array;  (* indexed by initiating element idx *)
   trace : Trace.t option;
   count_recycles : bool;
-  mutable w_cur : int;  (* element whose code is executing, for wall attribution *)
-  mutable w_last : int;  (* timestamp of the last attribution boundary *)
+  (* Sampled wall clock: see [mean_stride]. *)
+  mutable w_cur : int;  (* element charged for the open interval, or -1 *)
+  mutable w_start : int;  (* clock reading that opened it *)
+  mutable w_left : int;  (* events until the next clock read *)
+  mutable w_rng : int;  (* LCG state drawing the gaps between intervals *)
 }
 
+(* Wall-clock attribution samples an event-delta scheme: the time
+   between two consecutive hook events belongs to the element whose
+   code runs in between (a transfer's destination, a drop's dropper).
+   Only one such interval in [mean_stride], on average, is timed (two
+   clock reads), and it is charged [mean_stride] times its length. The
+   gaps between timed intervals are drawn uniformly from
+   [2, 2 * mean_stride - 2] by a seeded LCG, so a path that repeats
+   with a fixed period is not always timed at the same phase. An
+   interval that spans a return to the scheduler is charged to the last
+   element that ran before it. *)
+let mean_stride = 64
+let sample_seed = 0x2545F491
+
+let next_gap t =
+  t.w_rng <- ((t.w_rng * 0x5DEECE66D) + 0xB) land 0xFFFF_FFFF_FFFF;
+  2 + ((t.w_rng lsr 17) mod ((2 * mean_stride) - 3))
+
+let restart_sampling t =
+  t.w_cur <- -1;
+  t.w_rng <- sample_seed;
+  t.w_left <- next_gap t
+
 let create ?trace ?(recycles = false) () =
-  {
-    elems = [||];
-    trace = Option.map Trace.create trace;
-    count_recycles = recycles;
-    w_cur = -1;
-    w_last = 0;
-  }
+  let t =
+    {
+      elems = [||];
+      cells = [||];
+      trace = Option.map Trace.create trace;
+      count_recycles = recycles;
+      w_cur = -1;
+      w_start = 0;
+      w_left = 0;
+      w_rng = 0;
+    }
+  in
+  restart_sampling t;
+  t
 
 let trace t = t.trace
 
@@ -162,6 +205,27 @@ let elem t idx =
         (fun i -> if i < n then t.elems.(i) else fresh_elem ());
   t.elems.(idx)
 
+(* Element [idx]'s cells, grown to cover [port]. *)
+let cells_for t idx port =
+  let n = Array.length t.cells in
+  if idx >= n then
+    t.cells <-
+      Array.init
+        (max (idx + 1) (max 8 (2 * n)))
+        (fun i -> if i < n then t.cells.(i) else [||]);
+  let a = t.cells.(idx) in
+  if Array.length a > port * cell_width then a
+  else begin
+    let grown =
+      Array.init ((port + 1) * cell_width) (fun i ->
+          if i < Array.length a then a.(i)
+          else if i mod slot_width = c_peer then -1
+          else 0)
+    in
+    t.cells.(idx) <- grown;
+    grown
+  end
+
 let set_meta t ~idx ~name ~cls =
   let e = elem t idx in
   e.el_name <- name;
@@ -170,75 +234,138 @@ let set_meta t ~idx ~name ~cls =
 let reset t =
   Array.iter
     (fun e ->
-      e.el_pushes <- 0;
-      e.el_pulls <- 0;
-      e.el_batches <- 0;
-      e.el_in <- 0;
-      e.el_out <- 0;
-      Array.fill e.el_in_ports 0 (Array.length e.el_in_ports) 0;
-      Array.fill e.el_out_ports 0 (Array.length e.el_out_ports) 0;
       Hashtbl.reset e.el_drop_reasons;
       e.el_drops <- 0;
       e.el_spawns <- 0;
-      e.el_work <- 0;
       e.el_recycles <- 0;
       e.el_sim_ns <- 0;
       e.el_wall_ns <- 0)
     t.elems;
+  Array.iter
+    (fun a ->
+      Array.iteri (fun i _ -> if i mod slot_width <> c_peer then a.(i) <- 0) a)
+    t.cells;
   Option.iter Trace.reset t.trace;
-  t.w_cur <- -1;
-  t.w_last <- 0
+  restart_sampling t
 
 let clear t =
   t.elems <- [||];
+  t.cells <- [||];
   Option.iter Trace.reset t.trace;
-  t.w_cur <- -1;
-  t.w_last <- 0
+  restart_sampling t
 
 let charge_sim_ns t ~idx ns =
   if idx >= 0 then (elem t idx).el_sim_ns <- (elem t idx).el_sim_ns + ns
 
-let bump_port e out port n =
-  let arr = if out then e.el_out_ports else e.el_in_ports in
-  let arr =
-    if port < Array.length arr then arr
-    else begin
-      let grown = Array.make (port + 1) 0 in
-      Array.blit arr 0 grown 0 (Array.length arr);
-      if out then e.el_out_ports <- grown else e.el_in_ports <- grown;
-      grown
+let learn_class e cls = if String.equal e.el_class "" then e.el_class <- cls
+
+(* The first report over a port: learn its peer, give both ends a class
+   if they have none yet, then count. Every report over the port names
+   the same two elements, so this is the first report that could have
+   named either of them through it. *)
+let learn t (tr : Hooks.transfer) n inv =
+  let src = tr.Hooks.tr_src_idx and port = tr.Hooks.tr_src_port in
+  let dst = tr.Hooks.tr_dst_idx and dst_port = tr.Hooks.tr_dst_port in
+  let limit = 1 lsl port_bits in
+  if src < 0 || dst < 0 || port < 0 || port >= limit || dst_port < 0
+     || dst_port >= limit
+  then invalid_arg "Obs: transfer endpoint out of range";
+  learn_class (elem t src) tr.Hooks.tr_src_class;
+  learn_class (elem t dst) tr.Hooks.tr_dst_class;
+  let a = cells_for t src port in
+  let k = (port * cell_width) + if tr.Hooks.tr_pull then slot_width else 0 in
+  a.(k + c_peer) <- peer_code dst dst_port;
+  a.(k + c_packets) <- a.(k + c_packets) + n;
+  a.(k + inv) <- a.(k + inv) + 1
+
+(* One report of [n] packets over [tr]'s connection; [inv] is the
+   invocation counter it bumps ([c_scalar] or [c_batched]). Once the
+   port is learned this is two increments. *)
+let[@inline] count t (tr : Hooks.transfer) n inv =
+  let src = tr.Hooks.tr_src_idx and cells = t.cells in
+  if src >= 0 && src < Array.length cells then begin
+    let a = cells.(src) in
+    let k =
+      (tr.Hooks.tr_src_port * cell_width)
+      + if tr.Hooks.tr_pull then slot_width else 0
+    in
+    if k >= 0 && k < Array.length a && a.(k + c_peer) >= 0 then begin
+      a.(k + c_packets) <- a.(k + c_packets) + n;
+      a.(k + inv) <- a.(k + inv) + 1
     end
-  in
-  if port >= 0 then arr.(port) <- arr.(port) + n
+    else learn t tr n inv
+  end
+  else learn t tr n inv
+
+let note_drop t ~idx ~cls ~reason =
+  let e = elem t idx in
+  learn_class e cls;
+  e.el_drops <- e.el_drops + 1;
+  if t.count_recycles then e.el_recycles <- e.el_recycles + 1;
+  (* [find], not [find_opt]: no [Some] is boxed per drop. *)
+  match Hashtbl.find e.el_drop_reasons reason with
+  | r -> incr r
+  | exception Not_found -> Hashtbl.replace e.el_drop_reasons reason (ref 1)
+
+let note_spawn t ~idx ~cls =
+  let e = elem t idx in
+  learn_class e cls;
+  e.el_spawns <- e.el_spawns + 1
+
+let sample t now next =
+  let v = now () in
+  if t.w_cur >= 0 then begin
+    let d = v - t.w_start in
+    if d > 0 then begin
+      let e = elem t t.w_cur in
+      e.el_wall_ns <- e.el_wall_ns + (d * mean_stride)
+    end;
+    t.w_cur <- -1;
+    t.w_left <- next_gap t - 1
+  end
+  else begin
+    t.w_start <- v;
+    t.w_cur <- next;
+    t.w_left <- 1
+  end
+
+(* One event, after which element [next] runs: usually a decrement. *)
+let[@inline] tick t now next =
+  let left = t.w_left - 1 in
+  if left > 0 then t.w_left <- left else sample t now next
+
+(* Every learned slot: [f idx port pull peer packets scalar batched]. *)
+let iter_cells t f =
+  Array.iteri
+    (fun idx a ->
+      for s = 0 to (Array.length a / slot_width) - 1 do
+        let b = s * slot_width in
+        let peer = a.(b + c_peer) in
+        if peer >= 0 then
+          f idx (s / 2) (s land 1 = 1) peer a.(b + c_packets)
+            a.(b + c_scalar) a.(b + c_batched)
+      done)
+    t.cells
 
 (* Fold one accumulator into another — the deterministic merge the
    multi-domain runner uses to combine per-domain ledgers into a single
-   report. Counters add; metadata fills empty slots; trace events append
-   in the source's order (call once per shard, in shard order, for a
-   deterministic combined stream). The source is left untouched. *)
+   report. Element counters add and metadata fills empty slots; the
+   source's cells add into the destination's, which learns any peer it
+   has not seen; trace events append in the source's order (call once
+   per shard, in shard order, for a deterministic combined stream). The
+   source is left untouched. *)
 let merge_into ~src ~dst =
   Array.iteri
     (fun idx (se : elem) ->
       let touched =
         (not (String.equal se.el_name "")) || not (String.equal se.el_class "")
-        || se.el_pushes <> 0 || se.el_pulls <> 0 || se.el_batches <> 0
-        || se.el_in <> 0 || se.el_out <> 0 || se.el_drops <> 0
-        || se.el_spawns <> 0 || se.el_work <> 0 || se.el_recycles <> 0
+        || se.el_drops <> 0 || se.el_spawns <> 0 || se.el_recycles <> 0
         || se.el_sim_ns <> 0 || se.el_wall_ns <> 0
       in
       if touched then begin
         let de = elem dst idx in
         if String.equal de.el_name "" then de.el_name <- se.el_name;
-        if String.equal de.el_class "" then de.el_class <- se.el_class;
-        de.el_pushes <- de.el_pushes + se.el_pushes;
-        de.el_pulls <- de.el_pulls + se.el_pulls;
-        de.el_batches <- de.el_batches + se.el_batches;
-        de.el_in <- de.el_in + se.el_in;
-        de.el_out <- de.el_out + se.el_out;
-        Array.iteri (fun p n -> if n > 0 then bump_port de false p n)
-          se.el_in_ports;
-        Array.iteri (fun p n -> if n > 0 then bump_port de true p n)
-          se.el_out_ports;
+        learn_class de se.el_class;
         Hashtbl.iter
           (fun reason r ->
             match Hashtbl.find_opt de.el_drop_reasons reason with
@@ -247,12 +374,20 @@ let merge_into ~src ~dst =
           se.el_drop_reasons;
         de.el_drops <- de.el_drops + se.el_drops;
         de.el_spawns <- de.el_spawns + se.el_spawns;
-        de.el_work <- de.el_work + se.el_work;
         de.el_recycles <- de.el_recycles + se.el_recycles;
         de.el_sim_ns <- de.el_sim_ns + se.el_sim_ns;
         de.el_wall_ns <- de.el_wall_ns + se.el_wall_ns
       end)
     src.elems;
+  iter_cells src (fun idx port pull peer packets scalar batched ->
+      ignore (elem dst idx);
+      ignore (elem dst (peer_idx peer));
+      let a = cells_for dst idx port in
+      let b = (port * cell_width) + if pull then slot_width else 0 in
+      if a.(b + c_peer) < 0 then a.(b + c_peer) <- peer;
+      a.(b + c_packets) <- a.(b + c_packets) + packets;
+      a.(b + c_scalar) <- a.(b + c_scalar) + scalar;
+      a.(b + c_batched) <- a.(b + c_batched) + batched);
   match (dst.trace, src.trace) with
   | Some dt, Some st ->
       List.iter
@@ -264,124 +399,88 @@ let merge_into ~src ~dst =
         (Trace.events st)
   | _ -> ()
 
-(* One transfer of [n] packets. For a push the packets flow
-   [tr_src -> tr_dst]; for a pull the puller is [tr_src] and the packets
-   flow out of the pulled element [tr_dst] into it. *)
-let note_transfer t (tr : Hooks.transfer) n ~batched =
-  let producer, pport, consumer, cport =
-    if tr.Hooks.tr_pull then
-      (tr.Hooks.tr_dst_idx, tr.Hooks.tr_dst_port, tr.Hooks.tr_src_idx,
-       tr.Hooks.tr_src_port)
-    else
-      (tr.Hooks.tr_src_idx, tr.Hooks.tr_src_port, tr.Hooks.tr_dst_idx,
-       tr.Hooks.tr_dst_port)
-  in
-  let pe = elem t producer and ce = elem t consumer in
-  if String.equal pe.el_class "" then
-    pe.el_class <-
-      (if tr.Hooks.tr_pull then tr.Hooks.tr_dst_class
-       else tr.Hooks.tr_src_class);
-  if String.equal ce.el_class "" then
-    ce.el_class <-
-      (if tr.Hooks.tr_pull then tr.Hooks.tr_src_class
-       else tr.Hooks.tr_dst_class);
-  pe.el_out <- pe.el_out + n;
-  ce.el_in <- ce.el_in + n;
-  bump_port pe true pport n;
-  bump_port ce false cport n;
-  (* Invocation counters: a push invokes the consumer, a pull the
-     producer; a batched transfer is one invocation standing for [n]. *)
-  if batched then
-    if tr.Hooks.tr_pull then pe.el_batches <- pe.el_batches + 1
-    else ce.el_batches <- ce.el_batches + 1
-  else if tr.Hooks.tr_pull then pe.el_pulls <- pe.el_pulls + 1
-  else ce.el_pushes <- ce.el_pushes + 1
+let trace_transfer ring now (tr : Hooks.transfer) p =
+  Trace.record ring ~ns:(now ())
+    ~kind:(if tr.Hooks.tr_pull then Trace.Pull else Trace.Push)
+    ~src_idx:tr.Hooks.tr_src_idx ~src_port:tr.Hooks.tr_src_port
+    ~dst_idx:tr.Hooks.tr_dst_idx ~dst_port:tr.Hooks.tr_dst_port
+    ~packet:(Packet.id p) ~reason:""
 
-let note_drop t ~idx ~cls ~reason =
-  let e = elem t idx in
-  if String.equal e.el_class "" then e.el_class <- cls;
-  e.el_drops <- e.el_drops + 1;
-  if t.count_recycles then e.el_recycles <- e.el_recycles + 1;
-  match Hashtbl.find_opt e.el_drop_reasons reason with
-  | Some r -> incr r
-  | None -> Hashtbl.replace e.el_drop_reasons reason (ref 1)
-
-(* Wall-clock attribution is an event-delta scheme: the time elapsed
-   between two consecutive hook events is charged to the element whose
-   code was executing in between, and transfers move that attribution
-   point through the graph. Pulled elements fold into their puller's
-   interval (pulls are cheap: Queue dequeues). An approximation, but an
-   allocation-free one that needs no per-element timers. *)
-let wall_tick t now next =
-  let nowv = now () in
-  if t.w_cur >= 0 then begin
-    let e = elem t t.w_cur in
-    let d = nowv - t.w_last in
-    if d > 0 then e.el_wall_ns <- e.el_wall_ns + d
-  end;
-  t.w_last <- nowv;
-  t.w_cur <- next
-
-let trace_transfer t now (tr : Hooks.transfer) p =
-  match t.trace with
-  | None -> ()
-  | Some tr_buf ->
-      Trace.record tr_buf ~ns:(now ())
-        ~kind:(if tr.Hooks.tr_pull then Trace.Pull else Trace.Push)
-        ~src_idx:tr.Hooks.tr_src_idx ~src_port:tr.Hooks.tr_src_port
-        ~dst_idx:tr.Hooks.tr_dst_idx ~dst_port:tr.Hooks.tr_dst_port
-        ~packet:(Packet.id p) ~reason:""
-
+(* The closures are specialized when they are built: the counting body
+   with or without the clock tick, a trace record only when there is a
+   ring, and a call into [base] only where [base] has a hook. [on_work]
+   passes through untouched, so an observed router keeps its lean
+   charge sites and compiled plans whenever [base] has none. *)
 let hooks ?(now = fun () -> 0) ?(wall = false) t (base : Hooks.t) : Hooks.t =
+  let on_transfer =
+    if wall then fun tr _ ->
+      count t tr 1 c_scalar;
+      tick t now tr.Hooks.tr_dst_idx
+    else fun tr _ -> count t tr 1 c_scalar
+  in
+  let on_transfer_batch =
+    if wall then fun tr _ n ->
+      count t tr n c_batched;
+      tick t now tr.Hooks.tr_dst_idx
+    else fun tr _ n -> count t tr n c_batched
+  in
+  let on_drop =
+    if wall then fun ~idx ~cls ~reason _ ->
+      note_drop t ~idx ~cls ~reason;
+      tick t now idx
+    else fun ~idx ~cls ~reason _ -> note_drop t ~idx ~cls ~reason
+  in
+  let on_spawn ~idx ~cls _ = note_spawn t ~idx ~cls in
+  let on_transfer, on_transfer_batch, on_drop, on_spawn =
+    match t.trace with
+    | None -> (on_transfer, on_transfer_batch, on_drop, on_spawn)
+    | Some ring ->
+        let event ~kind ~idx ~reason p =
+          Trace.record ring ~ns:(now ()) ~kind ~src_idx:idx ~src_port:(-1)
+            ~dst_idx:(-1) ~dst_port:(-1) ~packet:(Packet.id p) ~reason
+        in
+        ( (fun tr p ->
+            on_transfer tr p;
+            trace_transfer ring now tr p),
+          (fun tr batch n ->
+            on_transfer_batch tr batch n;
+            for i = 0 to n - 1 do
+              trace_transfer ring now tr batch.(i)
+            done),
+          (fun ~idx ~cls ~reason p ->
+            on_drop ~idx ~cls ~reason p;
+            event ~kind:Trace.Drop ~idx ~reason p),
+          fun ~idx ~cls p ->
+            on_spawn ~idx ~cls p;
+            event ~kind:Trace.Spawn ~idx ~reason:"" p )
+  in
+  let null = Hooks.null in
   {
     Hooks.on_transfer =
-      (fun tr p ->
-        base.Hooks.on_transfer tr p;
-        note_transfer t tr 1 ~batched:false;
-        trace_transfer t now tr p;
-        if wall then wall_tick t now tr.Hooks.tr_dst_idx);
+      (let b = base.Hooks.on_transfer in
+       if b == null.Hooks.on_transfer then on_transfer
+       else fun tr p ->
+         b tr p;
+         on_transfer tr p);
     Hooks.on_transfer_batch =
-      (fun tr batch n ->
-        base.Hooks.on_transfer_batch tr batch n;
-        note_transfer t tr n ~batched:true;
-        (match t.trace with
-        | None -> ()
-        | Some _ ->
-            for i = 0 to n - 1 do
-              trace_transfer t now tr batch.(i)
-            done);
-        if wall then wall_tick t now tr.Hooks.tr_dst_idx);
-    Hooks.on_work =
-      (fun ~idx ~cls w ->
-        base.Hooks.on_work ~idx ~cls w;
-        if idx >= 0 then begin
-          let e = elem t idx in
-          if String.equal e.el_class "" then e.el_class <- cls;
-          e.el_work <- e.el_work + 1
-        end);
+      (let b = base.Hooks.on_transfer_batch in
+       if b == null.Hooks.on_transfer_batch then on_transfer_batch
+       else fun tr batch n ->
+         b tr batch n;
+         on_transfer_batch tr batch n);
+    Hooks.on_work = base.Hooks.on_work;
     Hooks.on_drop =
-      (fun ~idx ~cls ~reason p ->
-        base.Hooks.on_drop ~idx ~cls ~reason p;
-        note_drop t ~idx ~cls ~reason;
-        (match t.trace with
-        | None -> ()
-        | Some tr_buf ->
-            Trace.record tr_buf ~ns:(now ()) ~kind:Trace.Drop ~src_idx:idx
-              ~src_port:(-1) ~dst_idx:(-1) ~dst_port:(-1)
-              ~packet:(Packet.id p) ~reason);
-        if wall then wall_tick t now idx);
+      (let b = base.Hooks.on_drop in
+       if b == null.Hooks.on_drop then on_drop
+       else fun ~idx ~cls ~reason p ->
+         b ~idx ~cls ~reason p;
+         on_drop ~idx ~cls ~reason p);
     Hooks.on_spawn =
-      (fun ~idx ~cls p ->
-        base.Hooks.on_spawn ~idx ~cls p;
-        let e = elem t idx in
-        if String.equal e.el_class "" then e.el_class <- cls;
-        e.el_spawns <- e.el_spawns + 1;
-        match t.trace with
-        | None -> ()
-        | Some tr_buf ->
-            Trace.record tr_buf ~ns:(now ()) ~kind:Trace.Spawn ~src_idx:idx
-              ~src_port:(-1) ~dst_idx:(-1) ~dst_port:(-1)
-              ~packet:(Packet.id p) ~reason:"");
+      (let b = base.Hooks.on_spawn in
+       if b == null.Hooks.on_spawn then on_spawn
+       else fun ~idx ~cls p ->
+         b ~idx ~cls p;
+         on_spawn ~idx ~cls p);
     Hooks.on_fault = base.Hooks.on_fault;
     Hooks.on_warn = base.Hooks.on_warn;
   }
@@ -403,27 +502,80 @@ type stats = {
   s_drop_reasons : (string * int) list;
   s_drops : int;
   s_spawns : int;
-  s_work : int;
   s_recycles : int;
   s_sim_ns : int;
   s_wall_ns : int;
 }
+
+(* The per-element flow view, folded from the cells: packets in and out
+   (total and per port) and the invocations each element serviced — a
+   push invokes the consumer, a pull the producer, and a batched
+   transfer is one invocation standing for all its packets. *)
+type flow = {
+  mutable f_pushes : int;
+  mutable f_pulls : int;
+  mutable f_batches : int;
+  mutable f_in : int;
+  mutable f_out : int;
+  mutable f_in_ports : int array;
+  mutable f_out_ports : int array;
+}
+
+let bump ports port n =
+  let ports =
+    if port < Array.length ports then ports
+    else
+      Array.init (port + 1) (fun i ->
+          if i < Array.length ports then ports.(i) else 0)
+  in
+  ports.(port) <- ports.(port) + n;
+  ports
+
+let flows t =
+  let f =
+    Array.init (Array.length t.elems) (fun _ ->
+        {
+          f_pushes = 0;
+          f_pulls = 0;
+          f_batches = 0;
+          f_in = 0;
+          f_out = 0;
+          f_in_ports = [||];
+          f_out_ports = [||];
+        })
+  in
+  iter_cells t (fun idx port pull peer packets scalar batched ->
+      let producer, pport, consumer, cport =
+        if pull then (peer_idx peer, peer_port peer, idx, port)
+        else (idx, port, peer_idx peer, peer_port peer)
+      in
+      let pf = f.(producer) and cf = f.(consumer) in
+      pf.f_out <- pf.f_out + packets;
+      pf.f_out_ports <- bump pf.f_out_ports pport packets;
+      cf.f_in <- cf.f_in + packets;
+      cf.f_in_ports <- bump cf.f_in_ports cport packets;
+      let inv = if pull then pf else cf in
+      if pull then inv.f_pulls <- inv.f_pulls + scalar
+      else inv.f_pushes <- inv.f_pushes + scalar;
+      inv.f_batches <- inv.f_batches + batched);
+  f
 
 let ports_list arr =
   let acc = ref [] in
   Array.iteri (fun i n -> if n > 0 then acc := (i, n) :: !acc) arr;
   List.rev !acc
 
-let active e =
-  (not (String.equal e.el_name "")) || (not (String.equal e.el_class ""))
-  || e.el_in > 0 || e.el_out > 0 || e.el_drops > 0 || e.el_spawns > 0
-  || e.el_work > 0 || e.el_sim_ns > 0 || e.el_wall_ns > 0
-
 let snapshot t =
+  let flows = flows t in
   let acc = ref [] in
   Array.iteri
     (fun idx e ->
-      if active e then
+      let f = flows.(idx) in
+      if
+        (not (String.equal e.el_name "")) || (not (String.equal e.el_class ""))
+        || f.f_in > 0 || f.f_out > 0 || e.el_drops > 0 || e.el_spawns > 0
+        || e.el_sim_ns > 0 || e.el_wall_ns > 0
+      then
         acc :=
           {
             s_idx = idx;
@@ -431,19 +583,18 @@ let snapshot t =
                         Printf.sprintf "e%d" idx
                       else e.el_name);
             s_class = e.el_class;
-            s_pushes = e.el_pushes;
-            s_pulls = e.el_pulls;
-            s_batches = e.el_batches;
-            s_in = e.el_in;
-            s_out = e.el_out;
-            s_in_ports = ports_list e.el_in_ports;
-            s_out_ports = ports_list e.el_out_ports;
+            s_pushes = f.f_pushes;
+            s_pulls = f.f_pulls;
+            s_batches = f.f_batches;
+            s_in = f.f_in;
+            s_out = f.f_out;
+            s_in_ports = ports_list f.f_in_ports;
+            s_out_ports = ports_list f.f_out_ports;
             s_drop_reasons =
               Hashtbl.fold (fun k r l -> (k, !r) :: l) e.el_drop_reasons []
               |> List.sort compare;
             s_drops = e.el_drops;
             s_spawns = e.el_spawns;
-            s_work = e.el_work;
             s_recycles = e.el_recycles;
             s_sim_ns = e.el_sim_ns;
             s_wall_ns = e.el_wall_ns;
@@ -772,7 +923,6 @@ module Report = struct
                   merge_reasons a.s_drop_reasons s.s_drop_reasons;
                 s_drops = a.s_drops + s.s_drops;
                 s_spawns = a.s_spawns + s.s_spawns;
-                s_work = a.s_work + s.s_work;
                 s_recycles = a.s_recycles + s.s_recycles;
                 s_sim_ns = a.s_sim_ns + s.s_sim_ns;
                 s_wall_ns = a.s_wall_ns + s.s_wall_ns;
@@ -791,7 +941,6 @@ module Report = struct
               s_drop_reasons = [];
               s_drops = 0;
               s_spawns = 0;
-              s_work = 0;
               s_recycles = 0;
               s_sim_ns = 0;
               s_wall_ns = 0;
@@ -848,7 +997,6 @@ module Report = struct
               ("pulls", Json.Int s.s_pulls);
               ("batches", Json.Int s.s_batches);
               ("spawns", Json.Int s.s_spawns);
-              ("work", Json.Int s.s_work);
               ("drops", Json.Int s.s_drops);
               ( "drop_reasons",
                 Json.Obj

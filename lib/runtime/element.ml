@@ -82,8 +82,12 @@ class virtual base (name : string) =
     val mutable lean_transfer = true
     val mutable lean_transfer_batch = true
     val mutable lean_work = true
-    val mutable out_targets : (t * int) option array = [||]
-    val mutable in_targets : (t * int) option array = [||]
+
+    (* Each connection keeps the record its transfers report, built when
+       it is wired (every field is fixed by then), so a hooked transfer
+       reports without allocating, as a compiled connection does. *)
+    val mutable out_targets : (t * int * Hooks.transfer) option array = [||]
+    val mutable in_targets : (t * int * Hooks.transfer) option array = [||]
 
     (* Compiled connection closures, one per output port, installed by the
        graph compiler (lib/compile). Empty = interpreted dispatch. *)
@@ -153,12 +157,26 @@ class virtual base (name : string) =
     method connect_output port (dst : t) dst_port =
       if port < 0 || port >= Array.length out_targets then
         invalid_arg (name ^ ": connect_output port out of range");
-      out_targets.(port) <- Some (dst, dst_port)
+      out_targets.(port) <-
+        Some (dst, dst_port, self#transfer_record ~pull:false port dst dst_port)
 
     method connect_input port (src : t) src_port =
       if port < 0 || port >= Array.length in_targets then
         invalid_arg (name ^ ": connect_input port out of range");
-      in_targets.(port) <- Some (src, src_port)
+      in_targets.(port) <-
+        Some (src, src_port, self#transfer_record ~pull:true port src src_port)
+
+    method private transfer_record ~pull port (peer : t) peer_port =
+      {
+        Hooks.tr_src_idx = index;
+        tr_src_class = self#code_class;
+        tr_src_port = port;
+        tr_dst_idx = peer#index;
+        tr_dst_class = peer#class_name;
+        tr_dst_port = peer_port;
+        tr_direct = direct_dispatch;
+        tr_pull = pull;
+      }
 
     method push (_port : int) (p : Oclick_packet.Packet.t) =
       self#drop ~reason:"push to non-push element" p
@@ -299,24 +317,12 @@ class virtual base (name : string) =
             out_targets.(port)
           else None
         with
-      | Some (dst, dst_port) ->
+      | Some (dst, dst_port, record) ->
           (match mangle with Some f -> f p | None -> ());
           if dst#is_quarantined then
             self#drop ~reason:"quarantined element" p
           else begin
-            if not lean_transfer then
-              hooks.Hooks.on_transfer
-                {
-                  Hooks.tr_src_idx = index;
-                  tr_src_class = self#code_class;
-                  tr_src_port = port;
-                  tr_dst_idx = dst#index;
-                  tr_dst_class = dst#class_name;
-                  tr_dst_port = dst_port;
-                  tr_direct = direct_dispatch;
-                  tr_pull = false;
-                }
-                p;
+            if not lean_transfer then hooks.Hooks.on_transfer record p;
             match dst#push dst_port p with
             | () -> dst#note_ok
             | exception e when not (fatal e) ->
@@ -336,7 +342,7 @@ class virtual base (name : string) =
         if port >= 0 && port < Array.length in_targets then in_targets.(port)
         else None
       with
-      | Some (src, src_port) -> (
+      | Some (src, src_port, record) -> (
           if src#is_quarantined then None
           else
             match src#pull src_port with
@@ -345,19 +351,7 @@ class virtual base (name : string) =
                 (* Report only pulls that move a packet: idle polling is part
                    of the scheduler loop, not per-packet cost (the paper's
                    cycle counters bracket packet-processing code). *)
-                if not lean_transfer then
-                  hooks.Hooks.on_transfer
-                    {
-                      Hooks.tr_src_idx = index;
-                      tr_src_class = self#code_class;
-                      tr_src_port = port;
-                      tr_dst_idx = src#index;
-                      tr_dst_class = src#class_name;
-                      tr_dst_port = src_port;
-                      tr_direct = direct_dispatch;
-                      tr_pull = true;
-                    }
-                    p;
+                if not lean_transfer then hooks.Hooks.on_transfer record p;
                 result
             | None -> None
             | exception e when not (fatal e) ->
@@ -377,7 +371,7 @@ class virtual base (name : string) =
             out_targets.(port)
           else None
         with
-        | Some (dst, dst_port) -> (
+        | Some (dst, dst_port, record) -> (
             (match mangle with
             | Some f ->
                 for i = 0 to n - 1 do
@@ -390,18 +384,7 @@ class virtual base (name : string) =
               done
             else begin
               if not lean_transfer_batch then
-                hooks.Hooks.on_transfer_batch
-                  {
-                    Hooks.tr_src_idx = index;
-                    tr_src_class = self#code_class;
-                    tr_src_port = port;
-                    tr_dst_idx = dst#index;
-                    tr_dst_class = dst#class_name;
-                    tr_dst_port = dst_port;
-                    tr_direct = direct_dispatch;
-                    tr_pull = false;
-                  }
-                  batch n;
+                hooks.Hooks.on_transfer_batch record batch n;
               match dst#push_batch dst_port batch with
               | () -> dst#note_ok
               | exception e when not (fatal e) ->
@@ -436,7 +419,7 @@ class virtual base (name : string) =
           if port >= 0 && port < Array.length in_targets then in_targets.(port)
           else None
         with
-        | Some (src, src_port) ->
+        | Some (src, src_port, record) ->
             if src#is_quarantined then 0
             else
               let n =
@@ -452,28 +435,12 @@ class virtual base (name : string) =
               if n > 0 then begin
                 src#note_ok;
                 if not lean_transfer_batch then
-                  hooks.Hooks.on_transfer_batch
-                    {
-                      Hooks.tr_src_idx = index;
-                      tr_src_class = self#code_class;
-                      tr_src_port = port;
-                      tr_dst_idx = src#index;
-                      tr_dst_class = src#class_name;
-                      tr_dst_port = src_port;
-                      tr_direct = direct_dispatch;
-                      tr_pull = true;
-                    }
-                    dst n
+                  hooks.Hooks.on_transfer_batch record dst n
               end;
               n
         | None -> 0
 
     method charge w = hooks.Hooks.on_work ~idx:index ~cls:self#class_name w
-
-    (* Whether [charge] would reach a real hook: per-packet charge sites
-       guard on this so the [Hooks.work] constructor isn't boxed just to
-       feed a null hook. *)
-    method lean_work = lean_work
 
     method drop ~reason p =
       hooks.Hooks.on_drop ~idx:index ~cls:self#class_name ~reason p
