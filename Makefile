@@ -18,7 +18,9 @@
 # measured-cost placement comparison), and `make bench-all` regenerates
 # every committed BENCH_*.json in one go.
 # `make loc` prints the `*.ml` + `*.mli` line count of each lib/
-# directory and their total, the net size ROADMAP tracks beside pps.
+# directory, then one total for each of lib/, bin/, bench/, perfbench/
+# (read only: it is the benchmark) and test/, and their sum: the net
+# size ROADMAP tracks beside pps.
 # `make perfbench-smoke` runs the layered benchmark (perfbench/) for 2 s
 # on each workload and fails unless every result line reports
 # "correct": true.
@@ -104,10 +106,14 @@ perfbench-smoke:
 	done
 
 loc:
-	@total=0; for d in lib/*/; do \
+	@for d in lib/*/; do \
 	  n=$$(cat $$d*.ml $$d*.mli 2>/dev/null | wc -l); \
-	  printf '%-16s %6d\n' "$${d%/}" $$n; total=$$((total + n)); \
-	done; printf '%-16s %6d\n' total $$total
+	  printf '%-16s %6d\n' "$${d%/}" $$n; \
+	done; all=0; for d in lib bin bench perfbench test; do \
+	  n=$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -not -path '*/out/*' \
+	    -exec cat {} + | wc -l); \
+	  printf '%-16s %6d\n' "$$d/" $$n; all=$$((all + n)); \
+	done; printf '%-16s %6d\n' all $$all
 
 clean:
 	dune clean

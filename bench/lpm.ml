@@ -97,10 +97,12 @@ let batch_rate e probes reps =
 
 (* The element's route leaf, as its compiled body and fused regions
    call it: look up, rewrite the gateway annotation, and return the
-   output port (-1 when the lookup consumed the packet). *)
+   output port (Region.consumed when the lookup consumed the packet).
+   The element's own push and push_batch are derived from the same sem:
+   push runs this leaf, push_batch its vector form. *)
 let route_leaf e =
   match e#region_sem with
-  | Some (Region.Route { rt_make }) -> rt_make ~lean_work:true
+  | Some (Region.Route { rt_make; _ }) -> rt_make ~lean_work:true
   | _ -> failwith "lpm bench: element has no route sem"
 
 let compiled_rate e probes reps =

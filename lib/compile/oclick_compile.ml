@@ -4,13 +4,14 @@
    #output_batch) step for step — mangle, quarantine check, hook report,
    delivery, containment, consecutive-fault clearing — with everything
    static resolved at compile time: the destination, the port, the
-   transfer record (preallocated; its eight fields are per-connection
-   constants), the hook leanness, and the presence of a mangler. *)
+   transfer record (the one the connection was wired with), the hook
+   leanness, and the presence of a mangler. *)
 
 module Graph = Oclick_graph
 module Packet = Oclick_packet.Packet
 module Element = Oclick_runtime.Element
 module Hooks = Oclick_runtime.Hooks
+module Region = Oclick_runtime.Region
 module Driver = Oclick_runtime.Driver
 module Registry = Oclick_runtime.Registry
 module Fdd = Oclick_fdd
@@ -139,7 +140,7 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
                        body: connections into it call its [push]. *)
                     Option.map
                       (fun sem ->
-                        Fdd.body sem ~noutputs:elements.(i)#noutputs
+                        Region.body sem ~noutputs:elements.(i)#noutputs
                           ~lean_work ~out:(conn i))
                       elements.(i)#region_sem
               in
@@ -173,18 +174,7 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
                       incr fallbacks;
                       fun p -> dst#push dst_port p
                 in
-                let record =
-                  {
-                    Hooks.tr_src_idx = src#index;
-                    tr_src_class = src#code_class;
-                    tr_src_port = port;
-                    tr_dst_idx = dst#index;
-                    tr_dst_class = dst#class_name;
-                    tr_dst_port = dst_port;
-                    tr_direct = src#direct_dispatch;
-                    tr_pull = false;
-                  }
-                in
+                let record = src#output_record port in
                 let faulted e p =
                   dst#record_fault (Printexc.to_string e);
                   dst#drop ~reason:"element fault" p
@@ -260,18 +250,7 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
                   | Some v -> v
                   | None -> fun batch -> dst#push_batch dst_port batch
                 in
-                let record =
-                  {
-                    Hooks.tr_src_idx = src#index;
-                    tr_src_class = src#code_class;
-                    tr_src_port = port;
-                    tr_dst_idx = dst#index;
-                    tr_dst_class = dst#class_name;
-                    tr_dst_port = dst_port;
-                    tr_direct = src#direct_dispatch;
-                    tr_pull = false;
-                  }
-                in
+                let record = src#output_record port in
                 fun batch ->
                   let nb = Array.length batch in
                   if nb = 1 then scalar batch.(0)

@@ -9,14 +9,16 @@
     - {b devirtualized transfers} — every push connection becomes one
       [Packet.t -> unit] closure (and a batch-array twin), stored in a
       dense per-port array on the source element. The hot path pays no
-      port-array lookup, no option match, no transfer-record allocation,
-      and — when the installed hooks are the no-op {!Hooks.null} ones —
-      no hook call at all.
+      port-array lookup, no option match, no transfer-record allocation
+      (it reports with the record the connection was wired with,
+      [output_record]), and — when the installed hooks are the no-op
+      {!Hooks.null} ones — no hook call at all.
     - {b bodies from the sem} — every element with a
       {!Oclick_runtime.Region.sem} (every [simple_action], the
       classifiers, the route lookups, PaintSwitch, the combos) gets the
-      compiled body its sem describes ({!Oclick_fdd.body}), chained to
-      its compiled neighbours, so a run of such elements collapses into
+      compiled body its sem describes ({!Oclick_runtime.Region.body},
+      the builder the element's own [push] uses), chained to its
+      compiled neighbours, so a run of such elements collapses into
       one nested closure: a packet crosses CheckIPHeader → DecIPTTL → …
       in straight-line calls. A classifier's body runs one
       {!Oclick_classifier.Tree.classify_packed} walk and jumps through a

@@ -155,11 +155,6 @@ class paint_switch name =
     method! processing = "h/h"
     method! configure _ = Ok ()
 
-    method! push _ p =
-      let paint = (Packet.anno p).Packet.paint in
-      if paint >= 0 && paint < self#noutputs then self#output paint p
-      else self#drop ~reason:"no output for paint" p
-
     method! region_sem =
       (* Folded by the fusion pass only under a dominating Paint, where
          the output is a compile-time constant. *)

@@ -1,8 +1,8 @@
 (* The generic classification elements. Each compiles its configuration
    into a decision tree at configure time and walks that tree per packet
-   with Tree.classify_packed (paper Fig. 3a). Under the graph compiler
-   the element's body comes from its Classify sem, which runs the same
-   walk.
+   with Tree.classify_packed (paper Fig. 3a). The walk is stated once,
+   in the Classify sem: push, push_batch and the graph compiler's body
+   are all derived from it.
 
    [register_fast_classifier] installs a generated class whose instances
    walk the tree click-fastclassifier optimized and archived, charged as
@@ -19,7 +19,6 @@ class virtual tree_classifier name =
     inherit E.base name
     val mutable tree = Tree.leaf_tree Tree.drop 1
     val mutable dropped = 0
-    val mutable port_scratch : int array = [||]
     method virtual private build_tree : string -> (Tree.t, string) result
 
     (* The work kind a walk of [visited] nodes is charged as. *)
@@ -33,48 +32,8 @@ class virtual tree_classifier name =
       | Error e -> Error e
       | Ok t ->
           tree <- Optimize.optimize t;
+          self#sem_changed;
           Ok ()
-
-    method! push _ p =
-      let packed = Tree.classify_packed tree p in
-      let out = Tree.packed_output packed in
-      if not lean_work then
-        self#charge (self#work (Tree.packed_visited packed));
-      if out >= 0 && out < self#noutputs then self#output out p
-      else begin
-        dropped <- dropped + 1;
-        self#drop ~reason:"classified to no output" p
-      end
-
-    method! push_batch _ batch =
-      (* Classify the whole batch first (one summed work charge — the
-         cost model is linear in nodes visited), then emit contiguous
-         same-output runs as single transfers. *)
-      let n = Array.length batch in
-      if Array.length port_scratch < n then port_scratch <- Array.make n 0;
-      let ports = port_scratch in
-      let visited_total = ref 0 in
-      for i = 0 to n - 1 do
-        if self#is_quarantined then begin
-          self#drop ~reason:"quarantined element" batch.(i);
-          ports.(i) <- consumed
-        end
-        else
-          match Tree.classify_packed tree batch.(i) with
-          | packed ->
-              visited_total := !visited_total + Tree.packed_visited packed;
-              self#note_ok;
-              ports.(i) <- Tree.packed_output packed
-          | exception e when not (E.fatal e) ->
-              self#record_fault (Printexc.to_string e);
-              self#drop ~reason:"element fault" batch.(i);
-              ports.(i) <- consumed
-      done;
-      if (not lean_work) && !visited_total > 0 then
-        self#charge (self#work !visited_total);
-      emit_runs self ports batch n ~on_invalid:(fun p ->
-          dropped <- dropped + 1;
-          self#drop ~reason:"classified to no output" p)
 
     method! region_sem =
       Some

@@ -84,8 +84,6 @@ class ip_input_combo name =
         end
       end
 
-    method! push _ p = if self#pass p then self#output 0 p
-
     method! region_sem =
       (* One guard: the 14-byte pull shifts hoisted downstream tests, and
          the padding trim makes it a barrier. *)
@@ -185,8 +183,6 @@ class ip_output_combo name =
               true
             end
           end
-
-    method! push _ p = if self#pass p then self#output 0 p
 
     method! region_sem =
       (* Barrier: the source rewrite and TTL decrement change header

@@ -6,14 +6,17 @@ module Icmp = Headers.Icmp
 module Ether = Headers.Ether
 
 class paint name =
-  object
+  object (self)
     inherit E.simple_action name
     val mutable color = 0
     method class_name = "Paint"
 
     method! configure config =
       match Args.parse_int config with
-      | Some c when c >= 0 -> Ok (color <- c)
+      | Some c when c >= 0 ->
+          color <- c;
+          self#sem_changed;
+          Ok ()
       | _ -> Error "Paint expects a color"
 
     method private inplace p =

@@ -32,44 +32,6 @@ let lcg_next state =
 (* A uniform float in [0,1). *)
 let lcg_float state = float_of_int (lcg_next state) /. 1073741824.0
 
-(* --- batched multi-output emission ---------------------------------------
-
-   Shared by the classifier and routing elements: after computing an
-   output port per packet, contiguous runs bound for the same port are
-   forwarded as single batched transfers. *)
-
-(* Sentinel port meaning "already consumed during classification"
-   (dropped or faulted); run emission skips it. *)
-let consumed = min_int
-
-let emit_runs
-    (self :
-      < output : int -> Packet.t -> unit
-      ; output_batch : int -> Packet.t array -> unit
-      ; noutputs : int
-      ; .. >) (ports : int array) (batch : Packet.t array) n ~on_invalid =
-  let i = ref 0 in
-  while !i < n do
-    let port = ports.(!i) in
-    let j = ref (!i + 1) in
-    while !j < n && ports.(!j) = port do
-      incr j
-    done;
-    let len = !j - !i in
-    if port = consumed then ()
-    else if port >= 0 && port < self#noutputs then begin
-      if len = 1 then self#output port batch.(!i)
-      else if !i = 0 && len = Array.length batch then
-        self#output_batch port batch
-      else self#output_batch port (Array.sub batch !i len)
-    end
-    else
-      for k = !i to !j - 1 do
-        on_invalid batch.(k)
-      done;
-    i := !j
-  done
-
 let parse_positional_and_keywords config =
   let args = Args.split config in
   List.partition_map

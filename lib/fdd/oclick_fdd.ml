@@ -47,64 +47,6 @@ type fused = {
   fu_region : region;
 }
 
-(* --- one element: the body its sem describes ---------------------------- *)
-
-(* What a Set_paint, Guard or Mutate stage does to a packet: [true] to
-   continue on output 0, [false] when the stage consumed or diverted it. *)
-let stage = function
-  | Region.Set_paint c ->
-      fun p ->
-        (Packet.anno p).Packet.paint <- c;
-        true
-  | Region.Guard { gd_run; _ } -> gd_run
-  | Region.Mutate f ->
-      fun p ->
-        f p;
-        true
-  | Region.Classify _ | Region.Paint_switch _ | Region.Route _ ->
-      invalid_arg "Oclick_fdd.stage: not a stage"
-
-let body sem ~noutputs ~lean_work ~out =
-  match sem with
-  | Region.Classify { cl_tree = t; cl_charge; cl_invalid } ->
-      (* One continuation per leaf slot, slot 0 (the drop leaf) going to
-         [cl_invalid]. Leaves past the outputs go there too: they become
-         drop leaves, so every slot the walk returns is in the array. *)
-      let clamp = function
-        | Tree.Leaf k when k >= noutputs -> Tree.Leaf Tree.drop
-        | l -> l
-      in
-      let node (n : Tree.node) =
-        { n with yes = clamp n.yes; no = clamp n.no }
-      in
-      let tree =
-        { t with root = clamp t.root; nodes = Array.map node t.nodes }
-      in
-      let slots =
-        Array.init (noutputs + 1) (fun s ->
-            if s = 0 then cl_invalid else out (s - 1))
-      in
-      if lean_work then fun p ->
-        slots.(Tree.classify_packed tree p asr Tree.packed_visited_bits) p
-      else fun p ->
-        let v = Tree.classify_packed tree p in
-        cl_charge (Tree.packed_visited v);
-        slots.(v asr Tree.packed_visited_bits) p
-  | Region.Route { rt_make } ->
-      let lookup = rt_make ~lean_work in
-      let outs = Array.init noutputs out in
-      fun p ->
-        let port = lookup p in
-        if port >= 0 then outs.(port) p
-  | Region.Paint_switch { ps_invalid } ->
-      let outs = Array.init noutputs out in
-      fun p ->
-        let c = (Packet.anno p).Packet.paint in
-        if c >= 0 && c < noutputs then outs.(c) p else ps_invalid p
-  | Region.Set_paint _ | Region.Guard _ | Region.Mutate _ ->
-      let eff = stage sem and k = out 0 in
-      fun p -> if eff p then k p
-
 (* --- regions ------------------------------------------------------------ *)
 
 (* Path expansion of classifier DAGs can blow up; past these budgets the
@@ -311,7 +253,8 @@ let plan (elements : Element.t array) (out : (int * int) option array array)
   match (el entry)#region_sem with
   | None | Some (Region.Paint_switch _) | Some (Region.Route _) ->
       (* No cascade can start here: unknown paint can't fold, and a
-         bare route lookup is already one closure, its own [body]. *)
+         bare route lookup is already one closure, its own
+         [Region.body]. *)
       None
   | Some _ -> (
       match
@@ -326,7 +269,8 @@ let plan (elements : Element.t array) (out : (int * int) option array array)
                so its one leaf action would run the same stages as the
                per-element bodies through more closure layers (measured
                slower on the IP router's output chains). The elements'
-               own [body]s are the cheaper form of the same semantics. *)
+               own bodies ([Region.body]) are the cheaper form of the
+               same semantics. *)
             None
           else
             Some
@@ -429,7 +373,9 @@ let compile ctx pl =
     | _ -> assert false
   in
   let eff_of j =
-    match (el j)#region_sem with Some sem -> stage sem | None -> assert false
+    match (el j)#region_sem with
+    | Some sem -> Region.stage sem
+    | None -> assert false
   in
   (* Per-packet fault containment identical to the compiled
      connection's: the fault is recorded against the element whose code
@@ -469,29 +415,16 @@ let compile ctx pl =
       done;
       !k
   in
-  (* The preallocated transfer report of one absorbed hop. *)
-  let hop_record (src : Element.t) port (dst : Element.t) dst_port =
-    {
-      Hooks.tr_src_idx = src#index;
-      tr_src_class = src#code_class;
-      tr_src_port = port;
-      tr_dst_idx = dst#index;
-      tr_dst_class = dst#class_name;
-      tr_dst_port = dst_port;
-      tr_direct = src#direct_dispatch;
-      tr_pull = false;
-    }
-  in
   (* The scalar hop into [j]. The interpreted connection clears [j]'s
      consecutive-fault count once [j]'s push returns normally; when [j]
      runs an op of its own right after the hop, that op's containment
      clears it on success instead ([reset:false]), so faults in [j]
      still accumulate across packets towards quarantine. *)
   let enter_scalar ~reset = function
-    | K_enter (i, port, j, dst_port) ->
+    | K_enter (i, port, j, _) ->
         let src = el i and dst = el j in
         let quarantined, consec = dst#degrade_cells in
-        let record = hop_record src port dst dst_port in
+        let record = src#output_record port in
         let on_transfer = hooks.Hooks.on_transfer in
         fun p ->
           if !quarantined then begin
@@ -538,10 +471,10 @@ let compile ctx pl =
     | None ->
         let f =
           match key with
-          | K_enter (i, port, j, dst_port) ->
+          | K_enter (i, port, j, _) ->
               let src = el i and dst = el j in
               let quarantined, consec = dst#degrade_cells in
-              let record = hop_record src port dst dst_port in
+              let record = src#output_record port in
               let on_transfer = hooks.Hooks.on_transfer in
               let on_transfer_batch = hooks.Hooks.on_transfer_batch in
               let scalar = enter_scalar ~reset:true key in
@@ -605,7 +538,7 @@ let compile ctx pl =
   in
   let route_exit j =
     match (el j)#region_sem with
-    | Some (Region.Route { rt_make }) ->
+    | Some (Region.Route { rt_make; _ }) ->
         let lookup = rt_make ~lean_work in
         let nout = (el j)#noutputs in
         let outs = Array.init nout (fun port -> ctx.fd_conn j port) in

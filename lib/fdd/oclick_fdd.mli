@@ -1,7 +1,8 @@
 (** Cross-element match-action fusion over forwarding decision diagrams.
 
     The graph compiler ({!Oclick_compile}) builds each element's push
-    body from its sem in isolation ({!body}); a packet crossing a cascade of
+    body from its sem in isolation ({!Oclick_runtime.Region.body}, the
+    builder the element's own [push] uses); a packet crossing a cascade of
     classifiers still pays one tree walk, one transfer, and one
     indirect call per hop. This pass collapses a whole push region into
     a single decision diagram, in the spirit of the NetKAT compiler's
@@ -20,7 +21,8 @@
     report per hop per sub-vector, one summed work charge, effects per
     packet under containment), and leaves through one bucket per exit:
     connections get their batched twin, a route leaf the route
-    element's [push_batch].
+    element's [push_batch] (its sem's vector form, so the batched
+    lookup is stated once).
 
     Exact replay is a hard requirement, not best effort: the fused
     closures reproduce the interpreted run's per-hop transfer reports,
@@ -33,24 +35,6 @@
 module Packet = Oclick_packet.Packet
 module Element = Oclick_runtime.Element
 module Hooks = Oclick_runtime.Hooks
-
-val body :
-  Oclick_runtime.Region.sem ->
-  noutputs:int ->
-  lean_work:bool ->
-  out:(int -> Packet.t -> unit) ->
-  Packet.t ->
-  unit
-(** [body sem ~noutputs ~lean_work ~out] is the compiled push body of one
-    element with [noutputs] outputs, built from its sem alone; [out port]
-    is the compiled connection for output [port]. A [Classify] body runs
-    one {!Oclick_classifier.Tree.classify_packed} walk, charges
-    [cl_charge] unless [lean_work], and continues through a per-leaf
-    array of continuations; a [Route] body calls [rt_make ~lean_work] once
-    and dispatches on the port it returns; a [Paint_switch] body
-    dispatches on the paint annotation; the other stages run their
-    effect and continue on output 0 if it passes. The graph compiler
-    uses this for every element with a sem that roots no region. *)
 
 type ctx = {
   fd_elements : Element.t array;  (** the instantiated graph, by index *)
@@ -87,11 +71,12 @@ val plan_regions :
     comes from an element without region semantics (a device, a Queue,
     ARP, …), through a wire mangler, out of a route lookup, or down an
     exit or side output of another region. Elements entered only from
-    inside a region get [None] and keep their per-element {!body}.
+    inside a region get [None] and keep their per-element body
+    ({!Oclick_runtime.Region.body}).
 
     [None] also where fusion is not worthwhile or not sound: the entry
     exposes no usable {!Oclick_runtime.Region.sem}, the region never
-    absorbs a second element (the element's own {!body} is already the
+    absorbs a second element (the element's own body is already the
     best form), the region decides nothing (no test node and no folded
     PaintSwitch: its one leaf action would run the same stages as the
     per-element bodies, through more closure layers), or the diagram

@@ -42,6 +42,7 @@ and t = <
   noutputs : int;
   connect_output : int -> t -> int -> unit;
   connect_input : int -> t -> int -> unit;
+  output_record : int -> Hooks.transfer;
   push : int -> Oclick_packet.Packet.t -> unit;
   pull : int -> Oclick_packet.Packet.t option;
   push_batch : int -> Oclick_packet.Packet.t array -> unit;
@@ -133,10 +134,22 @@ class virtual base : string -> object
   method connect_output : int -> t -> int -> unit
   method connect_input : int -> t -> int -> unit
 
-  (** {2 Packet handling (overridden per class)} *)
+  method output_record : int -> Hooks.transfer
+  (** The transfer report of output [port]'s connection, built when it
+      was wired; every datapath reports with it. Raises
+      [Invalid_argument] for an unwired port. *)
+
+  (** {2 Packet handling}
+
+      An element with a {!region_sem} states its push semantics there
+      only: [push] and [push_batch] are derived from it. Other elements
+      override [push]. *)
 
   method push : int -> Oclick_packet.Packet.t -> unit
-  (** Default: counts the packet as dropped. *)
+  (** With a sem: {!Region.body} of it with [out k = output k], so
+      dispatch stays virtual and {!output} reports each transfer. Built
+      on first use, rebuilt after {!set_hooks}, {!set_nports} or
+      {!sem_changed}. Without one: counts the packet as dropped. *)
 
   method pull : int -> Oclick_packet.Packet.t option
   (** Default: [None]. *)
@@ -145,10 +158,10 @@ class virtual base : string -> object
 
       The hot-path alternative to per-packet [push]/[pull]: a whole
       array of packets crosses a hookup in one dynamic dispatch and one
-      {!Hooks.t.on_transfer_batch} report. Semantics are preserved — the
-      default implementations loop the scalar methods under the same
-      fault containment, so every element class works under batching;
-      hot elements override them with loops that hoist config lookups,
+      {!Hooks.t.on_transfer_batch} report. Semantics are preserved: an
+      element with a sem runs its one-element vector form, every other
+      element loops its scalar methods under the same fault containment
+      unless it overrides them with loops that hoist config lookups,
       hook reporting, and dispatch out of the per-packet body.
 
       Contract: [push_batch] implementations contain their own
@@ -160,8 +173,14 @@ class virtual base : string -> object
       after [push_batch]/[output_batch] returns. *)
 
   method push_batch : int -> Oclick_packet.Packet.t array -> unit
-  (** Process a whole batch arriving on a port. Default: loops the
-      scalar {!push} with per-packet fault containment. *)
+  (** Process a whole batch arriving on a port. With a sem, its
+      one-element vector form, built like {!push}: [Classify],
+      [Paint_switch] and [Route] pick an output per packet (or consume
+      it), make one summed work charge and forward each run of
+      consecutive packets for one output as one transfer; the stages run
+      per packet and forward the survivors in one {!output_batch}, after
+      any side outputs (DESIGN §9). Both contain faults per packet.
+      Without a sem: loops {!push} under the same containment. *)
 
   method pull_batch : int -> Oclick_packet.Packet.t array -> int
   (** Fill-style batched pull: write up to [Array.length dst] packets
@@ -188,9 +207,14 @@ class virtual base : string -> object
 
   method region_sem : Region.sem option
   (** The element's push semantics in match-action terms (see {!Region}):
-      the compiler derives the element's compiled body from it, and the
-      FDD pass fuses it across elements. Default [None]: the compiler
-      calls [push], and the element ends any region reaching it. *)
+      {!push}, {!push_batch} and the compiler's body are derived from
+      it, and the FDD pass fuses it across elements. Default [None]: the
+      compiler calls [push], and the element ends any region reaching
+      it. *)
+
+  method private sem_changed : unit
+  (** Drop the bodies built from the sem; [configure] calls it when the
+      sem snapshots configured state (a Classifier's tree). *)
 
   method set_fused :
     out:(Oclick_packet.Packet.t -> unit) array ->
@@ -305,9 +329,10 @@ class virtual base : string -> object
 end
 
 (** Click's [simple_action] sugar: one agnostic input, one agnostic
-    output, one per-packet body. [push], [pull], [push_batch] and a
-    default {!region_sem} are all derived from {!inplace}, so the element
-    genuinely works in either context and states its semantics once.
+    output, one per-packet body. [pull] and a default {!region_sem} are
+    derived from {!inplace}, and [push] and [push_batch] from the sem,
+    so the element genuinely works in either context and states its
+    semantics once.
     (The shared dispatch site this creates in real Click is what
     confuses the branch predictor — paper §3 footnote; the cycle model
     accounts for it per class.) *)
