@@ -23,7 +23,10 @@
 # size ROADMAP tracks beside pps.
 # `make perfbench-smoke` runs the layered benchmark (perfbench/) for 2 s
 # on each workload and fails unless every result line reports
-# "correct": true.
+# "correct": true. `make perfbench-pairs PARENT=<rev> [PAIRS=10]
+# [SECONDS=15]` compares the working tree with revision PARENT on
+# perfbench in alternating run pairs (tools/pairs.py): medians,
+# quartiles, pairs won and in-run ratios per workload and metric.
 # `make obs-smoke` (also part of `dune runtest`) validates
 # oclick-report's JSON output against the report schema on the example
 # configurations; `make overload-smoke` (likewise part of `dune
@@ -35,7 +38,7 @@
 .PHONY: all build test bench bench-smoke compile-smoke parallel-smoke \
 	bench-json bench-parallel bench-overload bench-lpm bench-fdd \
 	bench-tune bench-all obs-smoke overload-smoke lpm-smoke fdd-smoke \
-	tune-smoke perfbench-smoke loc clean
+	tune-smoke perfbench-smoke perfbench-pairs loc clean
 
 all: build
 
@@ -104,6 +107,13 @@ perfbench-smoke:
 	    *) echo "perfbench-smoke $$w: FAILED: $$line"; exit 1 ;; \
 	  esac; \
 	done
+
+PAIRS ?= 10
+SECONDS ?= 15
+
+perfbench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make perfbench-pairs PARENT=<rev>"; exit 2; }
+	python3 tools/pairs.py --parent $(PARENT) --pairs $(PAIRS) --seconds $(SECONDS)
 
 loc:
 	@for d in lib/*/; do \

@@ -6,13 +6,11 @@
     the job at execution time. Given an instantiated {!Driver.t}, it
     compiles the push paths into direct-call closures:
 
-    - {b devirtualized transfers} — every push connection becomes one
-      [Packet.t -> unit] closure (and a batch-array twin), stored in a
-      dense per-port array on the source element. The hot path pays no
-      port-array lookup, no option match, no transfer-record allocation
-      (it reports with the record the connection was wired with,
-      [output_record]), and — when the installed hooks are the no-op
-      {!Hooks.null} ones — no hook call at all.
+    - {b ports with compiled callees} — every push connection's port is
+      built by {!Oclick_runtime.Element.push_port}, the builder the
+      interpreter uses, with the destination's compiled body as callee
+      in place of the virtual [push] (and the region's vector body for
+      batches). Under the no-op {!Hooks.null} it calls no hook at all.
     - {b bodies from the sem} — every element with a
       {!Oclick_runtime.Region.sem} (every [simple_action], the
       classifiers, the route lookups, PaintSwitch, the combos) gets the
@@ -26,15 +24,14 @@
       DIR-24-8 trie) directly; a [simple_action] runs its one [inplace]
       body.
 
-    Semantics are bit-identical to the interpreted path: mangle
-    (fault injection), quarantine checks, fault containment and drop
-    attribution, work charges, and — when observation is on — the exact
-    per-hop hook event sequence are all preserved, so outcome totals,
-    drop reasons, conservation balances and obs ledgers are equal by
-    construction. Elements without a sem (devices, Queue, Discard,
-    Counter, ARP, Tee, ICMPError, …) keep dynamic [push] dispatch behind
-    a compiled connection: compilation degrades per element, never per
-    graph.
+    Semantics are bit-identical to the interpreted path: the one port
+    builder states mangle, quarantine checks, fault containment, drop
+    attribution and the per-hop hook events for both, and bodies come
+    from the same sem, so outcome totals, drop reasons, conservation
+    balances and obs ledgers are equal by construction. Elements
+    without a sem (devices, Queue, Discard, Counter, ARP, Tee,
+    ICMPError, …) keep their virtual [push] behind the port:
+    compilation degrades per element, never per graph.
 
     The only configurations conservatively rejected are direct
     self-loops (an element pushing straight into itself), where fusion
@@ -55,8 +52,8 @@ type stats = {
 }
 
 val install : ?fuse:bool -> Oclick_runtime.Driver.t -> (stats, string) result
-(** Compile the driver's push paths in place. The installed hooks and
-    fault injectors are captured at compile time; callers must not
+(** Compile the driver's push paths in place. The compiled bodies
+    capture the installed hooks and fault injectors; callers must not
     change them afterwards (the driver never does).
 
     With [~fuse:true], the cross-element FDD pass ({!Oclick_fdd}) plans

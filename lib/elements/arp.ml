@@ -189,7 +189,7 @@ class arp_querier name =
         in
         for i = 0 to n - 1 do
           let p = batch.(i) in
-          if self#is_quarantined then begin
+          if !quarantined then begin
             flush ();
             self#drop ~reason:"quarantined element" p
           end
@@ -205,7 +205,7 @@ class arp_querier name =
                 with
                 | () ->
                     encapsulated <- encapsulated + 1;
-                    self#note_ok;
+                    consecutive_faults := 0;
                     batch.(!m) <- p;
                     incr m
                 | exception e when not (E.fatal e) ->

@@ -123,8 +123,7 @@ class ip_output_combo name =
           | _ -> Error "IPOutputCombo expects COLOR, IP")
       | _ -> Error "IPOutputCombo expects COLOR, IP"
 
-    method private options_ok p =
-      let hl = Ip.header_length p in
+    method private options_ok p hl =
       let rec scan off =
         if off >= hl then true
         else
@@ -162,7 +161,12 @@ class ip_output_combo name =
             self#spawn c;
             self#output 1 c
           end;
-          if not (self#options_ok p) then begin
+          let hl = ip_header_length p in
+          if hl < 0 then begin
+            self#drop ~reason:too_short_for_ip p;
+            false
+          end
+          else if not (self#options_ok p hl) then begin
             self#reject 2 "bad IP options" p;
             false
           end

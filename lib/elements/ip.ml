@@ -278,12 +278,15 @@ class ip_gw_options name =
             end
         | _ -> false
 
-    method private options_ok p =
-      let hl = Ip.header_length p in
-      hl = Ip.min_header_length || self#scan_options p hl Ip.min_header_length
-
     method private inplace p =
-      if self#options_ok p then E.V_keep
+      let hl = ip_header_length p in
+      if hl < 0 then begin
+        self#drop ~reason:too_short_for_ip p;
+        E.V_drop
+      end
+      else if
+        hl = Ip.min_header_length || self#scan_options p hl Ip.min_header_length
+      then E.V_keep
       else begin
         problems <- problems + 1;
         (if self#noutputs > 1 then self#output 1 p
@@ -307,14 +310,19 @@ class fix_ip_src name =
 
     method private inplace p =
       let anno = Packet.anno p in
-      if anno.Packet.fix_ip_src then begin
+      if not anno.Packet.fix_ip_src then E.V_keep
+      else if ip_header_length p < 0 then begin
+        self#drop ~reason:too_short_for_ip p;
+        E.V_drop
+      end
+      else begin
         anno.Packet.fix_ip_src <- false;
         Ip.set_src p my_addr;
         if not lean_work then
           self#charge (Hooks.W_checksum (Ip.header_length p));
-        Ip.update_checksum p
-      end;
-      E.V_keep
+        Ip.update_checksum p;
+        E.V_keep
+      end
   end
 
 class dec_ip_ttl name =
@@ -326,7 +334,11 @@ class dec_ip_ttl name =
     method! processing = "a/ah"
 
     method private inplace p =
-      if Ip.ttl p <= 1 then begin
+      if Packet.length p < Ip.min_header_length then begin
+        self#drop ~reason:too_short_for_ip p;
+        E.V_drop
+      end
+      else if Ip.ttl p <= 1 then begin
         expired <- expired + 1;
         (if self#noutputs > 1 then self#output 1 p
          else self#drop ~reason:"TTL expired" p);

@@ -21,6 +21,21 @@ let def ?ports ?processing ?flow ?(replace = false) cls ctor =
     ~spec:(Spec.make ?ports ?processing ?flow cls)
     cls ctor
 
+(* [p]'s IP header length, or -1 when [p] does not hold the whole
+   header at its front. An element that reads the header drops such a
+   frame with [too_short_for_ip]: a short frame is traffic, not an
+   element fault, and must not count toward quarantine. An element that
+   reads only the fixed 20 bytes tests the length alone, which is
+   cheaper on every packet. *)
+let ip_header_length p =
+  let len = Packet.length p in
+  if len < Headers.Ip.min_header_length then -1
+  else
+    let hl = Headers.Ip.header_length p in
+    if hl > len then -1 else hl
+
+let too_short_for_ip = "too short for IP header"
+
 (* Deterministic per-element pseudo-random stream (for RED). *)
 let lcg_seed_of_name name = Hashtbl.hash name land 0x3fffffff
 

@@ -4,11 +4,11 @@
    meets (offsets translated by the accumulated Strip shift) into one
    forwarding decision diagram whose leaves are fused action sequences.
 
-   Exactness is the whole game. Every leaf action replays the
-   interpreted transfer protocol hop by hop — quarantine check and
-   transfer report on entering each collapsed element, the element's
-   effect under the same fault containment the interpreted connection
-   provides, classification work charged with the per-path visited
+   Exactness is the whole game. Every leaf action runs the transfer
+   protocol's own steps hop by hop — Element.hop's quarantine check and
+   report on entering each collapsed element, the element's effect
+   under Element.contain, the containment a transfer into it gives,
+   classification work charged with the per-path visited
    count the interpreted walk would have counted — so outcome totals,
    drop reasons, and per-hop obs ledgers are byte-identical to the
    interpreted run. Tests are hoisted above effects, which is sound
@@ -28,8 +28,7 @@ module Hooks = Oclick_runtime.Hooks
 
 type ctx = {
   fd_elements : Element.t array;
-  fd_conn : int -> int -> Packet.t -> unit;
-  fd_conn_batch : int -> int -> Packet.t array -> unit;
+  fd_port : int -> int -> (Packet.t -> unit) * (Packet.t array -> unit);
   fd_hooks : Hooks.t;
 }
 
@@ -100,6 +99,10 @@ type fact = Known of int | Excluded of int list
 
 let lean_work hooks = hooks.Hooks.on_work == Hooks.null.Hooks.on_work
 
+(* Whether [e]'s output [port] runs a wire mangler. *)
+let mangled (e : Element.t) port =
+  match e#link port with Some ln -> ln.Element.ln_mangle <> None | _ -> false
+
 let plan (elements : Element.t array) (out : (int * int) option array array)
     ~lean_work entry =
   let el i = elements.(i) in
@@ -152,7 +155,7 @@ let plan (elements : Element.t array) (out : (int * int) option array array)
       ~path ~ops ~facts =
     let absorbable =
       (not (List.mem j path))
-      && (el i)#mangle_fn = None
+      && (not (mangled (el i) port))
       &&
       match (el j)#region_sem with
       | None -> false
@@ -315,7 +318,8 @@ let plan_regions elements out hooks =
   in
   Array.iteri
     (fun i (e : Element.t) ->
-      if e#region_sem = None || e#mangle_fn <> None then leave i)
+      if e#region_sem = None then leave i
+      else leave ~kept:(fun port -> not (mangled e port)) i)
     elements;
   while not (Queue.is_empty pending) do
     let j = Queue.pop pending in
@@ -355,12 +359,8 @@ type tnode = {
 
 let compile ctx pl =
   let el i = ctx.fd_elements.(i) in
-  let hooks = ctx.fd_hooks in
-  let lean_transfer = hooks.Hooks.on_transfer == Hooks.null.Hooks.on_transfer in
-  let lean_batch =
-    hooks.Hooks.on_transfer_batch == Hooks.null.Hooks.on_transfer_batch
-  in
-  let lean_work = lean_work hooks in
+  let lean_work = lean_work ctx.fd_hooks in
+  let link i port = Option.get ((el i)#link port) in
   let charge_of j =
     match (el j)#region_sem with
     | Some (Region.Classify { cl_charge; _ }) -> cl_charge
@@ -377,23 +377,9 @@ let compile ctx pl =
     | Some sem -> Region.stage sem
     | None -> assert false
   in
-  (* Per-packet fault containment identical to the compiled
-     connection's: the fault is recorded against the element whose code
-     raised, the packet becomes an accounted "element fault" drop of
-     that element, and the leaf action stops. *)
-  let contain j f =
-    let dst = el j in
-    let _, consec = dst#degrade_cells in
-    fun p ->
-      match f p with
-      | continue ->
-          consec := 0;
-          continue
-      | exception e when not (Element.fatal e) ->
-          dst#record_fault (Printexc.to_string e);
-          dst#drop ~reason:"element fault" p;
-          false
-  in
+  (* An op of [j] runs under the containment a transfer into [j] gives:
+     a fault is [j]'s, and the leaf action stops. *)
+  let contain j f = Element.contain (el j) ~faulted:false f in
   (* The column form of a contained per-packet op: quarantine is
      re-checked per packet, as the element's own [push_batch] does, so a
      quarantine tripped mid-vector drops the rest of the vector. *)
@@ -415,27 +401,13 @@ let compile ctx pl =
       done;
       !k
   in
-  (* The scalar hop into [j]. The interpreted connection clears [j]'s
-     consecutive-fault count once [j]'s push returns normally; when [j]
-     runs an op of its own right after the hop, that op's containment
-     clears it on success instead ([reset:false]), so faults in [j]
-     still accumulate across packets towards quarantine. *)
+  (* The scalar hop into [j]. The transfer clears [j]'s consecutive-fault
+     count once [j]'s push returns normally; when [j] runs an op of its
+     own right after the hop, that op's containment clears it on success
+     instead ([reset:false]), so faults in [j] still accumulate across
+     packets towards quarantine. *)
   let enter_scalar ~reset = function
-    | K_enter (i, port, j, _) ->
-        let src = el i and dst = el j in
-        let quarantined, consec = dst#degrade_cells in
-        let record = src#output_record port in
-        let on_transfer = hooks.Hooks.on_transfer in
-        fun p ->
-          if !quarantined then begin
-            src#drop ~reason:"quarantined element" p;
-            false
-          end
-          else begin
-            if not lean_transfer then on_transfer record p;
-            if reset then consec := 0;
-            true
-          end
+    | K_enter (i, port, _, _) -> Element.hop (link i port) ~reset
     | _ -> assert false
   in
   (* The entry element's own ops in the scalar body run uncontained: a
@@ -471,36 +443,13 @@ let compile ctx pl =
     | None ->
         let f =
           match key with
-          | K_enter (i, port, j, _) ->
-              let src = el i and dst = el j in
-              let quarantined, consec = dst#degrade_cells in
-              let record = src#output_record port in
-              let on_transfer = hooks.Hooks.on_transfer in
-              let on_transfer_batch = hooks.Hooks.on_transfer_batch in
-              let scalar = enter_scalar ~reset:true key in
-              (* One quarantine check and one transfer report per hop
-                 per sub-vector, as the batched connection makes. *)
-              let vector col _pos m =
-                if !quarantined then begin
-                  for t = 0 to m - 1 do
-                    src#drop ~reason:"quarantined element" col.(t)
-                  done;
-                  0
-                end
-                else begin
-                  if m = 1 then begin
-                    if not lean_transfer then on_transfer record col.(0)
-                  end
-                  else if not lean_batch then on_transfer_batch record col m;
-                  consec := 0;
-                  m
-                end
-              in
-              (scalar, vector)
+          | K_enter (i, port, _, _) ->
+              (* One check and one report per hop per sub-vector, as the
+                 batched transfer makes. *)
+              let col = Element.hop_col (link i port) in
+              (enter_scalar ~reset:true key, fun c _pos m -> col c m)
           | K_charge (j, visited) ->
               let charge = charge_of j in
-              let dst = el j in
-              let _, consec = dst#degrade_cells in
               let scalar =
                 contain j (fun _p ->
                     charge visited;
@@ -508,19 +457,10 @@ let compile ctx pl =
               in
               (* One summed charge per sub-vector: the cost model is
                  linear in nodes visited. *)
-              let vector col _pos m =
-                match charge (visited * m) with
-                | () ->
-                    consec := 0;
-                    m
-                | exception e when not (Element.fatal e) ->
-                    dst#record_fault (Printexc.to_string e);
-                    for t = 0 to m - 1 do
-                      dst#drop ~reason:"element fault" col.(t)
-                    done;
-                    0
+              let col =
+                Element.contain_col (el j) (fun _col m -> charge (visited * m))
               in
-              (scalar, vector)
+              (scalar, fun c _pos m -> col c m)
           | K_eff j ->
               let f = contain j (eff_of j) in
               (f, per_packet j f)
@@ -539,30 +479,23 @@ let compile ctx pl =
   let route_exit j =
     match (el j)#region_sem with
     | Some (Region.Route { rt_make; _ }) ->
-        let lookup = rt_make ~lean_work in
-        let nout = (el j)#noutputs in
-        let outs = Array.init nout (fun port -> ctx.fd_conn j port) in
         let dst = el j in
-        let _, consec = dst#degrade_cells in
+        let lookup =
+          Element.contain dst ~faulted:Region.consumed (rt_make ~lean_work)
+        in
+        let outs = Array.map fst (Array.init dst#noutputs (ctx.fd_port j)) in
         let scalar p =
-          match lookup p with
-          | port ->
-              consec := 0;
-              if port >= 0 then outs.(port) p
-          | exception e when not (Element.fatal e) ->
-              dst#record_fault (Printexc.to_string e);
-              dst#drop ~reason:"element fault" p
+          let port = lookup p in
+          if port >= 0 then outs.(port) p
         in
         (* A bucket goes to the element's own [push_batch]: one batched
            trie walk and run-length emission on its outputs. *)
+        let push_batch =
+          Element.contain_col dst (fun batch _ -> dst#push_batch 0 batch)
+        in
         let vector batch =
-          if Array.length batch = 1 then scalar batch.(0)
-          else
-            match dst#push_batch 0 batch with
-            | () -> consec := 0
-            | exception e when not (Element.fatal e) ->
-                dst#record_fault (Printexc.to_string e);
-                Array.iter (dst#drop ~reason:"element fault") batch
+          let n = Array.length batch in
+          if n = 1 then scalar batch.(0) else ignore (push_batch batch n)
         in
         (scalar, vector)
     | _ -> assert false
@@ -574,11 +507,8 @@ let compile ctx pl =
     | None ->
         let f =
           match exitk with
-          | X_conn (i, port) -> (ctx.fd_conn i port, ctx.fd_conn_batch i port)
-          | X_drop (j, port) ->
-              let reason = Printf.sprintf "unconnected output %d" port in
-              let f p = (el j)#drop ~reason p in
-              (f, Array.iter f)
+          | X_conn (i, port) -> ctx.fd_port i port
+          | X_drop (j, port) -> Element.unwired (el j) port
           | X_route j -> route_exit j
           | X_none -> (ignore, ignore)
         in

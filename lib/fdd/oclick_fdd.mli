@@ -38,12 +38,9 @@ module Hooks = Oclick_runtime.Hooks
 
 type ctx = {
   fd_elements : Element.t array;  (** the instantiated graph, by index *)
-  fd_conn : int -> int -> Packet.t -> unit;
-      (** the per-element compiler's connection closure for leaving the
-          region through element [i]'s output [port]; handles transfer
-          reporting, quarantine, containment, and unconnected drops *)
-  fd_conn_batch : int -> int -> Packet.t array -> unit;
-      (** the batched twin of [fd_conn], for vectors leaving the region *)
+  fd_port : int -> int -> (Packet.t -> unit) * (Packet.t array -> unit);
+      (** the compiler's port ({!Element.push_port}) of element [i]'s
+          output [port], scalar and batch, for leaving the region *)
   fd_hooks : Hooks.t;
       (** the installed hooks; no-op fields are specialized away *)
 }

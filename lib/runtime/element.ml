@@ -26,7 +26,12 @@ and t = <
   noutputs : int;
   connect_output : int -> t -> int -> unit;
   connect_input : int -> t -> int -> unit;
-  output_record : int -> Hooks.transfer;
+  link : int -> link option;
+  set_callee :
+    int ->
+    (Oclick_packet.Packet.t -> unit) option ->
+    (Oclick_packet.Packet.t array -> unit) option ->
+    (Oclick_packet.Packet.t -> unit) * (Oclick_packet.Packet.t array -> unit);
   push : int -> Oclick_packet.Packet.t -> unit;
   pull : int -> Oclick_packet.Packet.t option;
   push_batch : int -> Oclick_packet.Packet.t array -> unit;
@@ -37,12 +42,7 @@ and t = <
   set_batch_size : int -> unit;
   set_pool : Oclick_packet.Packet.Pool.t option -> unit;
   region_sem : Region.sem option;
-  set_fused :
-    out:(Oclick_packet.Packet.t -> unit) array ->
-    out_batch:(Oclick_packet.Packet.t array -> unit) array ->
-    unit;
   degrade_cells : bool ref * int ref;
-  mangle_fn : (Oclick_packet.Packet.t -> unit) option;
   wants_task : bool;
   run_task : bool;
   stats : (string * int) list;
@@ -54,8 +54,16 @@ and t = <
   set_mangle : (Oclick_packet.Packet.t -> unit) option -> unit;
   set_clock : (unit -> int) -> unit;
   record_fault : string -> unit;
-  drop : reason:string -> Oclick_packet.Packet.t -> unit;
-  note_ok : unit >
+  drop : reason:string -> Oclick_packet.Packet.t -> unit >
+
+and link = {
+  ln_record : Hooks.transfer;
+  ln_hooks : Hooks.t;
+  ln_mangle : (Oclick_packet.Packet.t -> unit) option;
+  ln_from : t;
+  ln_to : t;
+  ln_to_port : int;
+}
 
 module Tree = Oclick_classifier.Tree
 
@@ -74,30 +82,229 @@ type verdict = V_keep | V_drop
 let placeholder = lazy (Oclick_packet.Packet.create 0)
 let force_scratch_placeholder () = ignore (Lazy.force placeholder)
 
+(* --- transfers ------------------------------------------------------------ *)
+
+(* The transfer protocol, stated once for every datapath: run the
+   mangler, check the callee element's quarantine flag, report the
+   transfer, call, contain a fault, and clear the callee's
+   consecutive-fault count. A refused packet is the caller's drop; a
+   packet that dies inside the callee is the callee's, because the
+   transfer into it was already reported. *)
+
+let refuse (e : t) p = e#drop ~reason:"quarantined element" p
+
+let fault (e : t) ex p =
+  e#record_fault (Printexc.to_string ex);
+  e#drop ~reason:"element fault" p
+
+let fault_all (e : t) ex batch n =
+  e#record_fault (Printexc.to_string ex);
+  for i = 0 to n - 1 do
+    e#drop ~reason:"element fault" batch.(i)
+  done
+
+let unwired (e : t) port =
+  let reason = Printf.sprintf "unconnected output %d" port in
+  let push p = e#drop ~reason p in
+  (push, fun batch -> Array.iter push batch)
+
+let push_port ln ~callee ~callee_batch =
+  let src = ln.ln_from and dst = ln.ln_to and port = ln.ln_to_port in
+  let record = ln.ln_record and mangle = ln.ln_mangle in
+  let quarantined, faults = dst#degrade_cells in
+  let on_transfer = ln.ln_hooks.Hooks.on_transfer in
+  let on_transfer_batch = ln.ln_hooks.Hooks.on_transfer_batch in
+  let lean_batch = on_transfer_batch == Hooks.null.Hooks.on_transfer_batch in
+  (* One flat closure when nothing is reported: no hook test and no
+     option match per packet. The interpreter's port sends [push]
+     itself: a callee closure around the send costs one more indirect
+     call per hop, 4-7% on an interpreted chain of 4-16 classifiers. *)
+  let deliver =
+    match callee with
+    | _ when on_transfer != Hooks.null.Hooks.on_transfer ->
+        let call = Option.value callee ~default:(fun p -> dst#push port p) in
+        fun p ->
+          if !quarantined then refuse src p
+          else begin
+            on_transfer record p;
+            match call p with
+            | () -> faults := 0
+            | exception e when not (fatal e) -> fault dst e p
+          end
+    | None -> (
+        fun p ->
+          if !quarantined then refuse src p
+          else
+            match dst#push port p with
+            | () -> faults := 0
+            | exception e when not (fatal e) -> fault dst e p)
+    | Some call -> (
+        fun p ->
+          if !quarantined then refuse src p
+          else
+            match call p with
+            | () -> faults := 0
+            | exception e when not (fatal e) -> fault dst e p)
+  in
+  let push =
+    match mangle with None -> deliver | Some m -> fun p -> m p; deliver p
+  in
+  let call_batch =
+    Option.value callee_batch ~default:(fun batch -> dst#push_batch port batch)
+  in
+  (* A batch of one is a scalar transfer; a larger one pays one
+     quarantine check, one report and one call. An exception escaping
+     the callee's batch form leaves no telling which packets it
+     consumed, so the whole batch is accounted as faulted. *)
+  let push_batch batch =
+    let n = Array.length batch in
+    if n = 1 then push batch.(0)
+    else if n > 0 then begin
+      (match mangle with Some m -> Array.iter m batch | None -> ());
+      if !quarantined then Array.iter (refuse src) batch
+      else begin
+        if not lean_batch then on_transfer_batch record batch n;
+        match call_batch batch with
+        | () -> faults := 0
+        | exception e when not (fatal e) -> fault_all dst e batch n
+      end
+    end
+  in
+  (push, push_batch)
+
+(* The pull twin: the callee is the upstream element's [pull]. Only a
+   pull that moves a packet is reported: idle polling is part of the
+   scheduler loop, not per-packet cost (the paper's cycle counters
+   bracket packet-processing code). *)
+let pull_port ln =
+  let src = ln.ln_to and port = ln.ln_to_port and record = ln.ln_record in
+  let quarantined, faults = src#degrade_cells in
+  let on_transfer = ln.ln_hooks.Hooks.on_transfer in
+  let on_transfer_batch = ln.ln_hooks.Hooks.on_transfer_batch in
+  let lean = on_transfer == Hooks.null.Hooks.on_transfer in
+  let lean_batch = on_transfer_batch == Hooks.null.Hooks.on_transfer_batch in
+  let pull () =
+    if !quarantined then None
+    else
+      match src#pull port with
+      | Some p as r ->
+          faults := 0;
+          if not lean then on_transfer record p;
+          r
+      | None -> None
+      | exception e when not (fatal e) ->
+          src#record_fault (Printexc.to_string e);
+          None
+  in
+  let pull_batch dst =
+    if Array.length dst = 1 then (
+      match pull () with
+      | Some p ->
+          dst.(0) <- p;
+          1
+      | None -> 0)
+    else if !quarantined then 0
+    else
+      match src#pull_batch port dst with
+      | 0 -> 0
+      | n ->
+          faults := 0;
+          if not lean_batch then on_transfer_batch record dst n;
+          n
+      | exception e when not (fatal e) ->
+          src#record_fault (Printexc.to_string e);
+          0
+  in
+  (pull, pull_batch)
+
+(* A hop the FDD crosses inside a region: the transfer's check and
+   report, without the call. [reset] clears the callee's fault count
+   here, when the callee runs no op of its own whose containment
+   clears it. *)
+let hop ln ~reset =
+  let quarantined, faults = ln.ln_to#degrade_cells in
+  let on_transfer = ln.ln_hooks.Hooks.on_transfer in
+  let lean = on_transfer == Hooks.null.Hooks.on_transfer in
+  fun p ->
+    if !quarantined then (
+      refuse ln.ln_from p;
+      false)
+    else begin
+      if not lean then on_transfer ln.ln_record p;
+      if reset then faults := 0;
+      true
+    end
+
+(* The same hop for the first [m] packets of a column: one check and
+   one report, as a batched transfer makes (a scalar one for a single
+   packet). Answers the survivors. *)
+let hop_col ln =
+  let one = hop ln ~reset:true in
+  let quarantined, faults = ln.ln_to#degrade_cells in
+  let on_transfer_batch = ln.ln_hooks.Hooks.on_transfer_batch in
+  let lean_batch = on_transfer_batch == Hooks.null.Hooks.on_transfer_batch in
+  fun col m ->
+    if m = 1 then Bool.to_int (one col.(0))
+    else if !quarantined then begin
+      for t = 0 to m - 1 do
+        refuse ln.ln_from col.(t)
+      done;
+      0
+    end
+    else begin
+      if not lean_batch then on_transfer_batch ln.ln_record col m;
+      faults := 0;
+      m
+    end
+
+let contain (e : t) ~faulted f =
+  let _, faults = e#degrade_cells in
+  fun p ->
+    match f p with
+    | r ->
+        faults := 0;
+        r
+    | exception ex when not (fatal ex) ->
+        fault e ex p;
+        faulted
+
+let contain_col (e : t) f =
+  let _, faults = e#degrade_cells in
+  fun col m ->
+    match f col m with
+    | () ->
+        faults := 0;
+        m
+    | exception ex when not (fatal ex) ->
+        fault_all e ex col m;
+        0
+
 class virtual base (name : string) =
   object (self)
     val mutable index = -1
     val mutable hooks = Hooks.null
 
-    (* Leanness of the installed hooks, cached once in [set_hooks] so the
-       inner transfer paths pay a single branch instead of re-reading the
-       hook record (and allocating a transfer report) per packet. *)
-    val mutable lean_transfer = true
-    val mutable lean_transfer_batch = true
+    (* Leanness of the installed work hook, cached once in [set_hooks] so
+       a charge site pays a single branch. *)
     val mutable lean_work = true
 
     (* Each connection keeps the record its transfers report, built when
        it is wired (every field is fixed by then), so a hooked transfer
-       reports without allocating, as a compiled connection does. *)
+       reports without allocating. *)
     val mutable out_targets : (t * int * Hooks.transfer) option array = [||]
     val mutable in_targets : (t * int * Hooks.transfer) option array = [||]
 
-    (* Compiled connection closures, one per output port, installed by the
-       graph compiler (lib/compile). Empty = interpreted dispatch. *)
-    val mutable fused_out : (Oclick_packet.Packet.t -> unit) array = [||]
+    (* The callees the graph compiler installed per output port, in
+       place of the virtual send to the peer's [push]/[push_batch]. *)
+    val mutable callees = [||]
 
-    val mutable fused_out_batch :
-        (Oclick_packet.Packet.t array -> unit) array = [||]
+    (* The ports: each connection's transfer closures, built by
+       [push_port]/[pull_port] from what they capture and rebuilt when
+       any of it changes. *)
+    val mutable out_push : (Oclick_packet.Packet.t -> unit) array = [||]
+    val mutable out_push_batch : (Oclick_packet.Packet.t array -> unit) array = [||]
+    val mutable in_pull : (unit -> Oclick_packet.Packet.t option) array = [||]
+    val mutable in_pull_batch : (Oclick_packet.Packet.t array -> int) array = [||]
 
     val mutable direct_dispatch = false
     val mutable code_class_override : string option = None
@@ -120,8 +327,8 @@ class virtual base (name : string) =
 
     (* The push path of an element with a sem, built from it on first use
        and dropped by [sem_changed] when something the bodies captured
-       changes: the hooks' [lean_work], the output count, or configured
-       state the sem snapshots. *)
+       changes: the hooks' [lean_work], the ports, or configured state
+       the sem snapshots. *)
     val mutable sem_push : (Oclick_packet.Packet.t -> unit) option = None
 
     val mutable sem_push_batch :
@@ -156,15 +363,24 @@ class virtual base (name : string) =
 
     method set_hooks h =
       hooks <- h;
-      lean_transfer <- h.Hooks.on_transfer == Hooks.null.Hooks.on_transfer;
-      lean_transfer_batch <-
-        h.Hooks.on_transfer_batch == Hooks.null.Hooks.on_transfer_batch;
       lean_work <- h.Hooks.on_work == Hooks.null.Hooks.on_work;
-      self#sem_changed
+      self#rewire
 
     method set_nports ~inputs ~outputs =
       in_targets <- Array.make inputs None;
       out_targets <- Array.make outputs None;
+      callees <- Array.make outputs (None, None);
+      in_pull <- Array.make inputs (fun () -> None);
+      in_pull_batch <- Array.make inputs (fun _ -> 0);
+      out_push <- Array.make outputs ignore;
+      out_push_batch <- Array.make outputs ignore;
+      self#rewire
+
+    (* Rebuild every port, and the bodies that captured them, after
+       something they captured changed. *)
+    method private rewire =
+      Array.iteri (fun port _ -> self#wire_output port) out_targets;
+      Array.iteri (fun port _ -> self#wire_input port) in_targets;
       self#sem_changed
 
     method private sem_changed =
@@ -178,18 +394,57 @@ class virtual base (name : string) =
       if port < 0 || port >= Array.length out_targets then
         invalid_arg (name ^ ": connect_output port out of range");
       out_targets.(port) <-
-        Some (dst, dst_port, self#transfer_record ~pull:false port dst dst_port)
+        Some (dst, dst_port, self#transfer_record ~pull:false port dst dst_port);
+      self#wire_output port;
+      self#sem_changed
 
     method connect_input port (src : t) src_port =
       if port < 0 || port >= Array.length in_targets then
         invalid_arg (name ^ ": connect_input port out of range");
       in_targets.(port) <-
-        Some (src, src_port, self#transfer_record ~pull:true port src src_port)
+        Some (src, src_port, self#transfer_record ~pull:true port src src_port);
+      self#wire_input port
 
-    method output_record port =
-      match out_targets.(port) with
-      | Some (_, _, record) -> record
-      | None -> invalid_arg (name ^ ": output_record of an unwired port")
+    method link port =
+      if port < 0 || port >= Array.length out_targets then None
+      else self#link_of out_targets.(port)
+
+    method private link_of = function
+      | None -> None
+      | Some (ln_to, ln_to_port, ln_record) ->
+          let ln_hooks = hooks and ln_mangle = mangle and ln_from = (self :> t) in
+          Some { ln_record; ln_hooks; ln_mangle; ln_from; ln_to; ln_to_port }
+
+    method set_callee port callee callee_batch =
+      callees.(port) <- (callee, callee_batch);
+      self#wire_output port;
+      self#sem_changed;
+      (out_push.(port), out_push_batch.(port))
+
+    method private wire_output port =
+      let push, push_batch =
+        match self#link port with
+        | None -> unwired (self :> t) port
+        | Some ln ->
+            let callee, callee_batch = callees.(port) in
+            push_port ln ~callee ~callee_batch
+      in
+      out_push.(port) <- push;
+      out_push_batch.(port) <- push_batch
+
+    method private wire_input port =
+      match self#link_of in_targets.(port) with
+      | None -> ()
+      | Some ln ->
+          let pull, pull_batch = pull_port ln in
+          in_pull.(port) <- pull;
+          in_pull_batch.(port) <- pull_batch
+
+    (* Output [k]'s port, for a body to capture; a port past the outputs
+       drops as unconnected. *)
+    method private port k =
+      if k >= 0 && k < Array.length out_push then (out_push.(k), out_push_batch.(k))
+      else unwired (self :> t) k
 
     method private transfer_record ~pull port (peer : t) peer_port =
       {
@@ -212,7 +467,7 @@ class virtual base (name : string) =
           | Some sem ->
               let f =
                 Region.body sem ~noutputs:self#noutputs ~lean_work
-                  ~out:(fun k -> self#output k)
+                  ~out:(fun k -> fst (self#port k))
               in
               sem_push <- Some f;
               f p)
@@ -246,13 +501,11 @@ class virtual base (name : string) =
        reporting element differs (the destination rather than the
        source). *)
     method private guard (f : Oclick_packet.Packet.t -> unit) p =
-      if !quarantined then self#drop ~reason:"quarantined element" p
+      if !quarantined then refuse (self :> t) p
       else
         match f p with
         | () -> consecutive_faults := 0
-        | exception e when not (fatal e) ->
-            self#record_fault (Printexc.to_string e);
-            self#drop ~reason:"element fault" p
+        | exception e when not (fatal e) -> fault (self :> t) e p
 
     (* Reuse the batch array for a shorter prefix without copying when
        nothing was filtered out. *)
@@ -288,12 +541,12 @@ class virtual base (name : string) =
       | Region.Set_paint _ | Region.Guard _ | Region.Mutate _ ->
           (* Run the stage over the batch, compacting survivors in place,
              then forward the whole surviving prefix in one transfer. *)
-          let eff = Region.stage sem in
+          let eff = Region.stage sem and forward = snd (self#port 0) in
           fun batch ->
             let m = ref 0 in
             for i = 0 to Array.length batch - 1 do
               let p = batch.(i) in
-              if !quarantined then self#drop ~reason:"quarantined element" p
+              if !quarantined then refuse (self :> t) p
               else
                 match eff p with
                 | true ->
@@ -301,11 +554,9 @@ class virtual base (name : string) =
                     incr m;
                     consecutive_faults := 0
                 | false -> consecutive_faults := 0
-                | exception e when not (fatal e) ->
-                    self#record_fault (Printexc.to_string e);
-                    self#drop ~reason:"element fault" p
+                | exception e when not (fatal e) -> fault (self :> t) e p
             done;
-            if !m > 0 then self#output_batch 0 (self#sub_batch batch !m)
+            if !m > 0 then forward (self#sub_batch batch !m)
       | Region.Classify { cl_tree; cl_charge; cl_invalid } ->
           let visited = ref 0 in
           self#by_port ~invalid:cl_invalid
@@ -328,8 +579,7 @@ class virtual base (name : string) =
              flag cannot change while it runs: one check covers it. *)
           let lookup = rt_make_batch ~lean_work in
           fun batch ->
-            if !quarantined then
-              Array.iter (self#drop ~reason:"quarantined element") batch
+            if !quarantined then Array.iter (refuse (self :> t)) batch
             else begin
               let ports = self#ports (Array.length batch) in
               lookup batch ports;
@@ -348,7 +598,7 @@ class virtual base (name : string) =
         let p = batch.(i) in
         ports.(i) <-
           (if !quarantined then begin
-             self#drop ~reason:"quarantined element" p;
+             refuse (self :> t) p;
              Region.consumed
            end
            else
@@ -361,8 +611,7 @@ class virtual base (name : string) =
                  invalid p;
                  Region.consumed
              | exception e when not (fatal e) ->
-                 self#record_fault (Printexc.to_string e);
-                 self#drop ~reason:"element fault" p;
+                 fault (self :> t) e p;
                  Region.consumed)
       done;
       flush ();
@@ -387,9 +636,9 @@ class virtual base (name : string) =
         done;
         let len = !j - !i in
         if port <> Region.consumed then begin
-          if len = 1 then self#output port batch.(!i)
-          else if len = n then self#output_batch port batch
-          else self#output_batch port (Array.sub batch !i len)
+          if len = 1 then out_push.(port) batch.(!i)
+          else if len = n then out_push_batch.(port) batch
+          else out_push_batch.(port) (Array.sub batch !i len)
         end;
         i := !j
       done
@@ -432,12 +681,13 @@ class virtual base (name : string) =
     method is_quarantined = !quarantined
     method fault_count = fault_count
     method set_quarantine_threshold n = quarantine_threshold <- n
-    method set_mangle f = mangle <- f
-    method mangle_fn = mangle
-    method set_clock f = clock <- f
-    method note_ok = consecutive_faults := 0
+    method set_mangle f =
+      mangle <- f;
+      self#rewire
 
-    (* The degradation state as raw cells, for the graph compiler: the
+    method set_clock f = clock <- f
+
+    (* The degradation state as raw cells, for the transfer builder: the
        quarantine flag (read per packet) and the consecutive-fault counter
        (cleared per successful delivery). *)
     method degrade_cells = (quarantined, consecutive_faults)
@@ -459,140 +709,25 @@ class virtual base (name : string) =
 
     method region_sem : Region.sem option = None
 
-    method set_fused ~out ~out_batch =
-      fused_out <- out;
-      fused_out_batch <- out_batch
-
     method output port p =
-      if port >= 0 && port < Array.length fused_out then fused_out.(port) p
-      else
-        match
-          if port >= 0 && port < Array.length out_targets then
-            out_targets.(port)
-          else None
-        with
-      | Some (dst, dst_port, record) ->
-          (match mangle with Some f -> f p | None -> ());
-          if dst#is_quarantined then
-            self#drop ~reason:"quarantined element" p
-          else begin
-            if not lean_transfer then hooks.Hooks.on_transfer record p;
-            match dst#push dst_port p with
-            | () -> dst#note_ok
-            | exception e when not (fatal e) ->
-                (* The packet died inside [dst], and the transfer into it
-                   was already reported, so the drop must be accounted to
-                   [dst]: that keeps per-element packet books balanced and
-                   matches the batched path, where push_batch's own guard
-                   (running inside the destination) records the drop. *)
-                dst#record_fault (Printexc.to_string e);
-                dst#drop ~reason:"element fault" p
-          end
-      | None ->
-          self#drop ~reason:(Printf.sprintf "unconnected output %d" port) p
+      if port >= 0 && port < Array.length out_push then
+        Array.unsafe_get out_push port p
+      else self#drop ~reason:(Printf.sprintf "unconnected output %d" port) p
 
     method input_pull port =
-      match
-        if port >= 0 && port < Array.length in_targets then in_targets.(port)
-        else None
-      with
-      | Some (src, src_port, record) -> (
-          if src#is_quarantined then None
-          else
-            match src#pull src_port with
-            | Some p as result ->
-                src#note_ok;
-                (* Report only pulls that move a packet: idle polling is part
-                   of the scheduler loop, not per-packet cost (the paper's
-                   cycle counters bracket packet-processing code). *)
-                if not lean_transfer then hooks.Hooks.on_transfer record p;
-                result
-            | None -> None
-            | exception e when not (fatal e) ->
-                src#record_fault (Printexc.to_string e);
-                None)
-      | None -> None
+      if port >= 0 && port < Array.length in_pull then
+        Array.unsafe_get in_pull port ()
+      else None
 
     method output_batch port (batch : Oclick_packet.Packet.t array) =
-      let n = Array.length batch in
-      if n = 1 then self#output port batch.(0)
-      else if n > 0 then
-        if port >= 0 && port < Array.length fused_out_batch then
-          fused_out_batch.(port) batch
-        else
-        match
-          if port >= 0 && port < Array.length out_targets then
-            out_targets.(port)
-          else None
-        with
-        | Some (dst, dst_port, record) -> (
-            (match mangle with
-            | Some f ->
-                for i = 0 to n - 1 do
-                  f batch.(i)
-                done
-            | None -> ());
-            if dst#is_quarantined then
-              for i = 0 to n - 1 do
-                self#drop ~reason:"quarantined element" batch.(i)
-              done
-            else begin
-              if not lean_transfer_batch then
-                hooks.Hooks.on_transfer_batch record batch n;
-              match dst#push_batch dst_port batch with
-              | () -> dst#note_ok
-              | exception e when not (fatal e) ->
-                  (* push_batch implementations contain their own
-                     per-packet faults; an escape means we no longer know
-                     which packets were consumed, so account the whole
-                     batch as faulted rather than leak it from the
-                     conservation ledger. The drops belong to [dst] (the
-                     element the packets already transferred into), same
-                     as the scalar path. *)
-                  dst#record_fault (Printexc.to_string e);
-                  for i = 0 to n - 1 do
-                    dst#drop ~reason:"element fault" batch.(i)
-                  done
-            end)
-        | None ->
-            for i = 0 to n - 1 do
-              self#drop
-                ~reason:(Printf.sprintf "unconnected output %d" port)
-                batch.(i)
-            done
+      if port >= 0 && port < Array.length out_push_batch then
+        Array.unsafe_get out_push_batch port batch
+      else Array.iter (self#output port) batch
 
     method input_pull_batch port (dst : Oclick_packet.Packet.t array) =
-      if Array.length dst = 1 then (
-        match self#input_pull port with
-        | Some p ->
-            dst.(0) <- p;
-            1
-        | None -> 0)
-      else
-        match
-          if port >= 0 && port < Array.length in_targets then in_targets.(port)
-          else None
-        with
-        | Some (src, src_port, record) ->
-            if src#is_quarantined then 0
-            else
-              let n =
-                (* pull_batch implementations contain their own faults
-                   (the base default does); a defensive catch here keeps
-                   an escape from killing the pulling element's task. *)
-                match src#pull_batch src_port dst with
-                | n -> n
-                | exception e when not (fatal e) ->
-                    src#record_fault (Printexc.to_string e);
-                    0
-              in
-              if n > 0 then begin
-                src#note_ok;
-                if not lean_transfer_batch then
-                  hooks.Hooks.on_transfer_batch record dst n
-              end;
-              n
-        | None -> 0
+      if port >= 0 && port < Array.length in_pull_batch then
+        Array.unsafe_get in_pull_batch port dst
+      else 0
 
     method charge w = hooks.Hooks.on_work ~idx:index ~cls:self#class_name w
 

@@ -6,11 +6,13 @@
     code, flow code: paper §5.3) as methods; the registry extracts it for
     the optimizers.
 
-    Packet transfers go through {!base.output} and {!base.input_pull},
-    which report each transfer to the installed {!Hooks.t} — carrying the
-    source's {e code class} (shared call sites share branch-predictor
-    state, paper §3) and whether the element was specialized by
-    [click-devirtualize] (direct calls). *)
+    Packet transfers go through {e ports}, as in Click: each wired
+    connection holds its transfer closures, built once by {!push_port}
+    or {!pull_port}, and {!base.output} and {!base.input_pull} index a
+    port and call it. A port reports each transfer to the installed
+    {!Hooks.t}, carrying the source's {e code class} (shared call sites
+    share branch-predictor state, paper §3) and whether the element was
+    specialized by [click-devirtualize] (direct calls). *)
 
 type init_ctx = {
   ic_graph : Oclick_graph.Router.t;
@@ -42,7 +44,12 @@ and t = <
   noutputs : int;
   connect_output : int -> t -> int -> unit;
   connect_input : int -> t -> int -> unit;
-  output_record : int -> Hooks.transfer;
+  link : int -> link option;
+  set_callee :
+    int ->
+    (Oclick_packet.Packet.t -> unit) option ->
+    (Oclick_packet.Packet.t array -> unit) option ->
+    (Oclick_packet.Packet.t -> unit) * (Oclick_packet.Packet.t array -> unit);
   push : int -> Oclick_packet.Packet.t -> unit;
   pull : int -> Oclick_packet.Packet.t option;
   push_batch : int -> Oclick_packet.Packet.t array -> unit;
@@ -53,12 +60,7 @@ and t = <
   set_batch_size : int -> unit;
   set_pool : Oclick_packet.Packet.Pool.t option -> unit;
   region_sem : Region.sem option;
-  set_fused :
-    out:(Oclick_packet.Packet.t -> unit) array ->
-    out_batch:(Oclick_packet.Packet.t array -> unit) array ->
-    unit;
   degrade_cells : bool ref * int ref;
-  mangle_fn : (Oclick_packet.Packet.t -> unit) option;
   wants_task : bool;
   run_task : bool;
   stats : (string * int) list;
@@ -70,8 +72,19 @@ and t = <
   set_mangle : (Oclick_packet.Packet.t -> unit) option -> unit;
   set_clock : (unit -> int) -> unit;
   record_fault : string -> unit;
-  drop : reason:string -> Oclick_packet.Packet.t -> unit;
-  note_ok : unit >
+  drop : reason:string -> Oclick_packet.Packet.t -> unit >
+
+(** A wired connection, as its transfer closures see it: the caller is
+    the pushing or pulling element, the callee the peer it reaches. *)
+and link = {
+  ln_record : Hooks.transfer;  (** the report, built when it was wired *)
+  ln_hooks : Hooks.t;  (** the caller's hooks *)
+  ln_mangle : (Oclick_packet.Packet.t -> unit) option;
+      (** the caller's fault injector (pushes only) *)
+  ln_from : t;  (** the caller: a refused packet is its drop *)
+  ln_to : t;  (** the callee: a fault is its own *)
+  ln_to_port : int;
+}
 
 (** Verdict of a {!simple_action} element's body: [V_keep] continues on
     output 0, [V_drop] means the body consumed the packet (dropped it
@@ -81,6 +94,12 @@ and t = <
 type verdict = V_keep | V_drop
 
 class virtual base : string -> object
+  val quarantined : bool ref
+  (** {!is_quarantined}, which a [push_batch] loop reads per packet. *)
+
+  val consecutive_faults : int ref
+  (** Faults in a row; a [push_batch] loop clears it per clean packet. *)
+
   val lean_work : bool
   (** Whether the installed work hook is the null one, cached by
       {!set_hooks}. Every charge site tests this field before
@@ -134,10 +153,18 @@ class virtual base : string -> object
   method connect_output : int -> t -> int -> unit
   method connect_input : int -> t -> int -> unit
 
-  method output_record : int -> Hooks.transfer
-  (** The transfer report of output [port]'s connection, built when it
-      was wired; every datapath reports with it. Raises
-      [Invalid_argument] for an unwired port. *)
+  method link : int -> link option
+  (** Output [port]'s connection under the hooks and mangler installed
+      now; [None] when unwired. *)
+
+  method set_callee :
+    int ->
+    (Oclick_packet.Packet.t -> unit) option ->
+    (Oclick_packet.Packet.t array -> unit) option ->
+    (Oclick_packet.Packet.t -> unit) * (Oclick_packet.Packet.t array -> unit)
+  (** [set_callee port callee callee_batch] makes output [port]'s port
+      call a compiled body ([None]: the peer's [push] or [push_batch]),
+      and answers the rebuilt port. Called only by the graph compiler. *)
 
   (** {2 Packet handling}
 
@@ -146,10 +173,11 @@ class virtual base : string -> object
       override [push]. *)
 
   method push : int -> Oclick_packet.Packet.t -> unit
-  (** With a sem: {!Region.body} of it with [out k = output k], so
-      dispatch stays virtual and {!output} reports each transfer. Built
-      on first use, rebuilt after {!set_hooks}, {!set_nports} or
-      {!sem_changed}. Without one: counts the packet as dropped. *)
+  (** With a sem: {!Region.body} of it with [out k] output [k]'s port,
+      so a hop is one closure call and the peer's virtual [push]. Built
+      on first use, rebuilt when the ports change ({!set_hooks},
+      {!set_mangle}, {!set_nports}, {!connect_output}, {!set_callee}) or
+      on {!sem_changed}. Without a sem: counts the packet as dropped. *)
 
   method pull : int -> Oclick_packet.Packet.t option
   (** Default: [None]. *)
@@ -216,21 +244,8 @@ class virtual base : string -> object
   (** Drop the bodies built from the sem; [configure] calls it when the
       sem snapshots configured state (a Classifier's tree). *)
 
-  method set_fused :
-    out:(Oclick_packet.Packet.t -> unit) array ->
-    out_batch:(Oclick_packet.Packet.t array -> unit) array ->
-    unit
-  (** Install compiled connection closures, one per output port;
-      {!output} and {!output_batch} then jump straight into them. Called
-      only by the graph compiler. *)
-
   method degrade_cells : bool ref * int ref
-  (** The quarantine flag and consecutive-fault counter as raw cells, so
-      compiled connections can check and clear them without per-packet
-      method dispatch. *)
-
-  method mangle_fn : (Oclick_packet.Packet.t -> unit) option
-  (** The installed in-flight fault injector (see {!set_mangle}). *)
+  (** {!quarantined} and {!consecutive_faults}, for the transfers. *)
 
   method wants_task : bool
   (** Whether the scheduler should call {!run_task}; default [false]. *)
@@ -252,22 +267,18 @@ class virtual base : string -> object
   (** {2 For subclasses} *)
 
   method output : int -> Oclick_packet.Packet.t -> unit
-  (** Transfer a packet downstream (a push "virtual call"). Unconnected
-      ports drop and report. *)
+  (** Push downstream: call output [port]'s port ({!push_port}).
+      Unconnected ports drop and report. *)
 
   method input_pull : int -> Oclick_packet.Packet.t option
-  (** Request a packet from upstream (a pull "virtual call"). *)
+  (** Pull from upstream: call input [port]'s port ({!pull_port}). *)
 
   method output_batch : int -> Oclick_packet.Packet.t array -> unit
-  (** Transfer a whole batch downstream: one quarantine check, one
-      {!Hooks.t.on_transfer_batch} report, one [push_batch] dispatch.
-      Per-packet mangle (fault injection) still applies. A batch of one
-      falls back to the scalar {!output}. *)
+  (** Push a whole batch through output [port]'s batch port. *)
 
   method input_pull_batch : int -> Oclick_packet.Packet.t array -> int
-  (** Batched upstream request: fills the array from the front via the
-      peer's [pull_batch], reports one batched transfer, returns the
-      count. *)
+  (** Fill the array from the front through input [port]'s batch port;
+      answers the count. *)
 
   method private guard : (Oclick_packet.Packet.t -> unit) -> Oclick_packet.Packet.t -> unit
   (** [guard f p] runs [f p] under scalar-equivalent per-packet fault
@@ -325,7 +336,6 @@ class virtual base : string -> object
       the testbed's simulated clock, or the wall clock in live runs. *)
 
   method record_fault : string -> unit
-  method note_ok : unit
 end
 
 (** Click's [simple_action] sugar: one agnostic input, one agnostic
@@ -352,6 +362,59 @@ class virtual simple_action : string -> object
       can say more (a shift, no barrier, a paint the fusion pass folds)
       overrides it. *)
 end
+
+(** {2 Transfers}
+
+    The transfer protocol, stated once for every datapath: run the
+    caller's mangler, check the callee's quarantine flag (refused: the
+    caller's ["quarantined element"] drop), report, call, contain a
+    fault (the callee's ["element fault"] drop, counted toward its
+    quarantine) and clear the callee's consecutive-fault count. The
+    interpreter, the graph compiler and the FDD differ only in the
+    callee. *)
+
+val push_port :
+  link ->
+  callee:(Oclick_packet.Packet.t -> unit) option ->
+  callee_batch:(Oclick_packet.Packet.t array -> unit) option ->
+  (Oclick_packet.Packet.t -> unit) * (Oclick_packet.Packet.t array -> unit)
+(** A push connection's scalar and batch closures. Callee [None] is the
+    virtual send of the peer's [push] (or [push_batch]), as in the
+    paper's Figure 8 model; the compiler passes a compiled body. Under
+    null hooks and no mangler the scalar closure is one flat closure. A
+    batch of one is a scalar transfer; a larger one pays one check, one
+    report and one call, and an escaping exception faults it whole. *)
+
+val unwired :
+  t -> int -> (Oclick_packet.Packet.t -> unit) * (Oclick_packet.Packet.t array -> unit)
+(** An unwired output [port]: every packet is an "unconnected" drop. *)
+
+val pull_port :
+  link -> (unit -> Oclick_packet.Packet.t option) * (Oclick_packet.Packet.t array -> int)
+(** A pull connection's scalar and batch closures, calling the peer's
+    [pull] and [pull_batch]. Only pulls that move a packet report. *)
+
+val hop : link -> reset:bool -> Oclick_packet.Packet.t -> bool
+(** The FDD's hop across an absorbed connection: {!push_port}'s check
+    and report without the call; answers whether the packet goes on.
+    [reset] clears the callee's fault count, for a callee with no
+    contained op of its own. *)
+
+val hop_col : link -> Oclick_packet.Packet.t array -> int -> int
+(** {!hop} for the first [m] packets of a column, with one check and
+    one report; answers [m], or 0 when refused. *)
+
+val contain :
+  t -> faulted:'a -> (Oclick_packet.Packet.t -> 'a) -> Oclick_packet.Packet.t -> 'a
+(** [contain e ~faulted f p] runs [f p] as [e]'s code: success clears
+    [e]'s fault count; an exception is [e]'s fault and ["element fault"]
+    drop, and answers [faulted]. *)
+
+val contain_col :
+  t -> (Oclick_packet.Packet.t array -> int -> unit) ->
+  Oclick_packet.Packet.t array -> int -> int
+(** {!contain} for a call over a column's first [m] packets: answers
+    [m], or 0 when they were all dropped as faults. *)
 
 val configure_error : string -> ('a, string) result
 (** Shorthand for [Error msg] in configure methods. *)

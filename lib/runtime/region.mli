@@ -99,8 +99,8 @@ val body :
   unit
 (** [body sem ~noutputs ~lean_work ~out] is the push body of one element
     with [noutputs] outputs, built from its sem alone; [out port]
-    continues a packet on output [port] ([Element.base#output], or a
-    compiled connection), and is applied to every port once, here. A
+    continues a packet on output [port] (the port's push closure,
+    {!Element.push_port}), and is applied to every port once, here. A
     [Classify] body runs one {!Oclick_classifier.Tree.classify_packed}
     walk, charges [cl_charge] unless [lean_work], and continues through
     a per-leaf array of continuations; a [Route] body calls

@@ -16,6 +16,7 @@ module Testbed = Oclick_hw.Testbed
 module Platform = Oclick_hw.Platform
 
 let () = Oclick_elements.register_all ()
+let () = Oclick_compile.register ()
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
@@ -302,6 +303,106 @@ let test_fuzz_conservation () =
     fuzz_round seed
   done
 
+(* A frame truncated after the router's header check is a reasoned drop,
+   never an element fault. [oclick-run --fault truncate=...] mangles
+   every hop, so a frame can be cut after CheckIPHeader, on its way into
+   DecIPTTL, FixIPSrc, IPGWOptions or IPOutputCombo. Run on the base
+   2-interface router and on its "All" tool-chain form, in every mode
+   and at batch 1 and 32: the ports' mangle step runs in each. *)
+let test_truncated_frames_are_reasoned_drops () =
+  let base = ip_router_graph () in
+  let all = Oclick.Pipeline.optimize Oclick.Pipeline.All (ip_router_graph ()) in
+  let run (rname, graph) (mname, compile, fuse) batch =
+    let tag = Printf.sprintf "%s %s batch %d" rname mname batch in
+    let plan =
+      match Fault.Plan.parse ~seed:1 "truncate=0.2" with
+      | Ok p -> p
+      | Error e -> Alcotest.failf "plan: %s" e
+    in
+    let inj = Fault.Injector.create plan in
+    let mangle p = Fault.Injector.mangle_wire inj ~stream:"run" p in
+    let faults = ref [] and drops = ref 0 and spawns = ref 0 in
+    let hooks =
+      {
+        Hooks.null with
+        Hooks.on_drop = (fun ~idx:_ ~cls:_ ~reason:_ _ -> incr drops);
+        on_spawn = (fun ~idx:_ ~cls:_ _ -> incr spawns);
+        on_fault = (fun ~idx:_ ~cls ~reason -> faults := (cls ^ ": " ^ reason) :: !faults);
+      }
+    in
+    let devs =
+      Array.init 2 (fun i ->
+          new Netdevice.queue_device (Printf.sprintf "eth%d" i) ())
+    in
+    let devices = Array.to_list (Array.map (fun d -> (d :> Netdevice.t)) devs) in
+    let d =
+      match
+        Driver.instantiate ~hooks ~devices ~mangle ~batch ~compile ~fuse graph
+      with
+      | Ok d -> d
+      | Error e -> Alcotest.failf "%s: instantiate: %s" tag e
+    in
+    let injected = ref 0 in
+    let inject iface p =
+      incr injected;
+      devs.(iface)#inject p
+    in
+    (* Unsolicited ARP replies from the host on each side; some are cut
+       on the way in too. *)
+    for k = 0 to 15 do
+      let iface = k mod 2 in
+      inject iface
+        (Headers.Build.arp_reply
+           ~src_eth:(Ethaddr.of_string_exn (Printf.sprintf "00:00:c0:bb:%02x:02" iface))
+           ~src_ip:(Ipaddr.of_octets 10 0 iface 2)
+           ~dst_eth:(Ethaddr.of_string_exn (Printf.sprintf "00:00:c0:00:%02x:01" iface))
+           ~dst_ip:(Ipaddr.of_octets 10 0 iface 1))
+    done;
+    ignore (Driver.run_until_idle d);
+    for k = 1 to 500 do
+      let iface = k mod 2 in
+      inject iface
+        (host_udp ~src_if:iface ~dst_ip:(Printf.sprintf "10.0.%d.2" (1 - iface)));
+      if k mod 16 = 0 then ignore (Driver.run_until_idle d)
+    done;
+    check_bool (tag ^ ": router goes idle") true (Driver.run_until_idle d);
+    let forwarded = ref 0 and emitted = ref 0 in
+    Array.iter
+      (fun dev ->
+        let rec drain () =
+          match dev#collect with
+          | Some f ->
+              incr emitted;
+              if
+                Packet.length f >= Headers.Ether.header_length
+                && Headers.Ether.ethertype f = Headers.Ether.ethertype_ip
+              then incr forwarded;
+              drain ()
+          | None -> ()
+        in
+        drain ())
+      devs;
+    let residual = ref 0 in
+    for i = 0 to Driver.size d - 1 do
+      List.iter
+        (fun (k, v) -> if k = "length" || k = "pending" then residual := !residual + v)
+        (Driver.element_at d i)#stats
+    done;
+    Alcotest.(check (list string)) (tag ^ ": no element fault") [] !faults;
+    check_bool (tag ^ ": frames forwarded") true (!forwarded > 0);
+    check (tag ^ ": every frame forwarded or dropped with a reason")
+      (!injected + !spawns) (!emitted + !drops + !residual);
+    check (tag ^ ": no element quarantined") 0
+      (List.length
+         (List.filter (fun (_, _, q) -> q) (Driver.fault_report d)))
+  in
+  List.iter
+    (fun router ->
+      List.iter
+        (fun mode -> List.iter (run router mode) [ 1; 32 ])
+        [ ("interp", false, false); ("compiled", true, false); ("fused", true, true) ])
+    [ ("base", base); ("all", all) ]
+
 (* --- testbed fault runs --------------------------------------------------------- *)
 
 let testbed_plan =
@@ -401,7 +502,12 @@ let () =
           Alcotest.test_case "non-convergence reported" `Quick
             test_run_until_idle_reports_non_convergence;
         ] );
-      ("fuzz", [ Alcotest.test_case "conservation" `Quick test_fuzz_conservation ]);
+      ( "fuzz",
+        [
+          Alcotest.test_case "conservation" `Quick test_fuzz_conservation;
+          Alcotest.test_case "truncated frames are reasoned drops" `Quick
+            test_truncated_frames_are_reasoned_drops;
+        ] );
       ( "testbed",
         [
           Alcotest.test_case "fault run completes" `Quick

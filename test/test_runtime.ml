@@ -11,6 +11,7 @@ module Hooks = Oclick_runtime.Hooks
 module Registry = Oclick_runtime.Registry
 
 let () = Oclick_elements.register_all ()
+let () = Oclick_compile.register ()
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -803,6 +804,239 @@ let test_body_follows_reconfigure () =
   check "output 0 of the classifier unchanged" 37 (count "a");
   check "output 0 of the switch unchanged" 37 (count "b")
 
+(* --- ports ----------------------------------------------------------------------- *)
+
+(* A port's closures capture the hooks, the mangler, the wiring and the
+   callee element's cells, and a derived body captures the ports: each
+   must be rebuilt when what it captured changes. *)
+
+module Element = Oclick_runtime.Element
+
+let port_graph =
+  "src :: Idle -> c :: Classifier(12/0800, -); c[0] -> Strip(14) -> ck :: \
+   CheckIPHeader -> n :: Counter -> GetIPAddress(16) -> rt :: \
+   LookupIPRoute(0.0.0.0/0 0) -> Discard; c[1] -> Discard;"
+
+let set_all_hooks d h =
+  for i = 0 to Driver.size d - 1 do
+    (Driver.element_at d i)#set_hooks h
+  done
+
+(* Scalar pushes through the source's port, then vectors of 8 into the
+   classifier. *)
+let drive_ports d frames =
+  let el name = Option.get (Driver.element d name) in
+  let pkts = Array.of_list frames in
+  Array.iter ((el "src")#output 0) (Array.sub pkts 0 8);
+  let rest = Array.sub pkts 8 (Array.length pkts - 8) in
+  let i = ref 0 in
+  while !i < Array.length rest do
+    let len = min 8 (Array.length rest - !i) in
+    (el "c")#push_batch 0 (Array.sub rest !i len);
+    i := !i + len
+  done
+
+(* (a) Hooks installed after traffic reach every port: each transfer is
+   reported once, with its link's record, as by a router built with the
+   hooks; null hooks again report nothing. Compiled: hooks set before
+   compiling, as the multi-domain runner does. *)
+let test_ports_follow_hooks () =
+  let reports = ref [] in
+  let note (tr : Hooks.transfer) n = reports := (tr, n) :: !reports in
+  let recording =
+    {
+      Hooks.null with
+      Hooks.on_transfer = (fun tr _ -> note tr 1);
+      on_transfer_batch = (fun tr _ n -> note tr n);
+    }
+  in
+  let key (tr, n) = (tr.Hooks.tr_src_idx, tr.Hooks.tr_src_port, tr.Hooks.tr_dst_idx, n) in
+  let take () =
+    let r = !reports in
+    reports := [];
+    r
+  in
+  let build ?hooks ~compile () =
+    match Driver.of_string ?hooks ~compile port_graph with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "%s" e
+  in
+  List.iter
+    (fun compile ->
+      let tag = if compile then "compiled" else "interp" in
+      let reference =
+        let d = build ~hooks:recording ~compile () in
+        drive_ports d (ip_frames 40);
+        List.sort compare (List.map key (take ()))
+      in
+      check_bool (tag ^ ": the reference reports") true (reference <> []);
+      let d = build ~compile:false () in
+      drive_ports d (ip_frames 40);
+      check (tag ^ ": null hooks report nothing") 0 (List.length (take ()));
+      set_all_hooks d recording;
+      if compile then
+        (match Driver.compile d with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "compile: %s" e);
+      drive_ports d (ip_frames 40);
+      let got = take () in
+      Alcotest.(check (list (pair (pair int int) (pair int int))))
+        (tag ^ ": each transfer reported once")
+        (List.map (fun (a, b, c, n) -> ((a, b), (c, n))) reference)
+        (List.map (fun (a, b, c, n) -> ((a, b), (c, n)))
+           (List.sort compare (List.map key got)));
+      check_bool (tag ^ ": every report carries its link's record") true
+        (List.for_all
+           (fun ((tr : Hooks.transfer), _) ->
+             match (Driver.element_at d tr.Hooks.tr_src_idx)#link tr.Hooks.tr_src_port with
+             | Some ln -> ln.Element.ln_record == tr
+             | None -> false)
+           got);
+      if not compile then begin
+        set_all_hooks d Hooks.null;
+        drive_ports d (ip_frames 40);
+        check (tag ^ ": null hooks again report nothing") 0 (List.length (take ()))
+      end)
+    [ false; true ]
+
+(* (b) A mangler installed after traffic runs on the next transfers,
+   scalar and batched, also out of an element whose body was built. *)
+let test_ports_follow_mangle () =
+  let d =
+    match Driver.of_string "src :: Idle -> p :: Paint(1) -> c :: Counter -> Discard;" with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "%s" e
+  in
+  let el name = Option.get (Driver.element d name) in
+  let mangled = ref 0 in
+  let send () =
+    List.iter ((el "src")#output 0) (ip_frames 5);
+    (el "p")#push_batch 0 (Array.of_list (ip_frames 16))
+  in
+  send ();
+  check "no mangler, no mangling" 0 !mangled;
+  List.iter (fun n -> (el n)#set_mangle (Some (fun _ -> incr mangled))) [ "p"; "c" ];
+  send ();
+  check "two mangled hops per packet" (2 * 21) !mangled;
+  check "every packet counted" 42 (List.assoc "packets" (el "c")#stats)
+
+(* An element whose push raises while [boom_armed] is set. *)
+let boom_armed = ref false
+
+let () =
+  Registry.register
+    ~spec:(Oclick_graph.Spec.make ~ports:"1/1" "Test@Boom")
+    "Test@Boom"
+    (fun name ->
+      (object (self)
+         inherit Element.base name
+         method class_name = "Test@Boom"
+
+         method! push _ p =
+           if !boom_armed then failwith "boom" else self#output 0 p
+       end
+        :> Element.t))
+
+(* (c) Faults separated by good deliveries never quarantine; once a
+   destination is quarantined, transfers into it drop against the
+   source, and a pull from a quarantined Queue yields nothing. *)
+let test_ports_follow_quarantine () =
+  List.iter
+    (fun (compile, batch) ->
+      let tag = Printf.sprintf "%s batch %d" (if compile then "compiled" else "interp") batch in
+      let drops = Hashtbl.create 4 in
+      let hooks =
+        {
+          Hooks.null with
+          Hooks.on_drop = (fun ~idx:_ ~cls ~reason _ -> bump drops (cls, reason) 1);
+        }
+      in
+      let d =
+        match
+          Driver.of_string ~hooks ~compile
+            "src :: Idle -> p :: Paint(1) -> b :: Test@Boom -> c :: Counter -> Discard;"
+        with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "%s" e
+      in
+      let el name = Option.get (Driver.element d name) in
+      let send k =
+        let pkts = Array.init k (fun _ -> Packet.create 60) in
+        if batch = 1 then Array.iter ((el "src")#output 0) pkts
+        else (el "p")#push_batch 0 pkts
+      in
+      for _ = 1 to 20 do
+        boom_armed := true;
+        send 1;
+        boom_armed := false;
+        send 1
+      done;
+      check_bool (tag ^ ": interleaved faults never quarantine") false (el "b")#is_quarantined;
+      check (tag ^ ": each fault counted") 20 (el "b")#fault_count;
+      boom_armed := true;
+      send 8;
+      boom_armed := false;
+      check_bool (tag ^ ": 8 in a row quarantine") true (el "b")#is_quarantined;
+      let before = List.assoc "packets" (el "c")#stats in
+      send 4;
+      check (tag ^ ": nothing passes a quarantined element") before
+        (List.assoc "packets" (el "c")#stats);
+      Alcotest.(check (option int))
+        (tag ^ ": refused against the source")
+        (Some 4)
+        (Hashtbl.find_opt drops ("Paint", "quarantined element")))
+    [ (false, 1); (false, 8); (true, 1); (true, 8) ];
+  List.iter
+    (fun batch ->
+      let d =
+        match
+          Driver.of_string ~batch
+            "Idle -> q :: Queue(20) -> u :: Unqueue -> c :: Counter -> Discard;"
+        with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "%s" e
+      in
+      let el name = Option.get (Driver.element d name) in
+      for _ = 1 to 5 do
+        (el "q")#push 0 (Packet.create 60)
+      done;
+      for _ = 1 to 8 do
+        (el "q")#record_fault "test"
+      done;
+      check_bool "queue quarantined" true (el "q")#is_quarantined;
+      Driver.run d ~rounds:10;
+      check (Printf.sprintf "batch %d: a quarantined queue yields nothing" batch) 0
+        (List.assoc "moved" (el "u")#stats);
+      check "its packets stay" 5 (List.assoc "length" (el "q")#stats))
+    [ 1; 8 ]
+
+(* (d) An interpreted hop is one closure call and a virtual send: a
+   chain of classifiers allocates nothing per push under null hooks. *)
+let test_ports_allocate_nothing () =
+  let config =
+    "src :: Idle"
+    ^ String.concat ""
+        (List.init 10 (fun i -> Printf.sprintf " -> c%d :: Classifier(9/11, -)" i))
+    ^ " -> Discard;"
+    ^ String.concat ""
+        (List.init 10 (fun i -> Printf.sprintf " c%d[1] -> Discard;" i))
+  in
+  let d =
+    match Driver.of_string config with Ok d -> d | Error e -> Alcotest.failf "%s" e
+  in
+  let src = Option.get (Driver.element d "src") in
+  let p = Packet.create 64 in
+  Packet.set_u8 p 9 0x11;
+  src#output 0 p;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    src#output 0 p
+  done;
+  let per_push = (Gc.minor_words () -. before) /. 100_000. in
+  check_bool
+    (Printf.sprintf "%.3f minor words per push" per_push)
+    true (per_push < 0.05)
+
 (* --- handlers ----------------------------------------------------------------- *)
 
 let test_read_handlers () =
@@ -922,6 +1156,15 @@ let () =
             Alcotest.test_case "body follows reconfigure" `Quick
               test_body_follows_reconfigure;
           ] );
+      ( "ports",
+        [
+          Alcotest.test_case "follow hooks" `Quick test_ports_follow_hooks;
+          Alcotest.test_case "follow mangle" `Quick test_ports_follow_mangle;
+          Alcotest.test_case "follow quarantine" `Quick
+            test_ports_follow_quarantine;
+          Alcotest.test_case "allocate nothing" `Quick
+            test_ports_allocate_nothing;
+        ] );
       ( "handlers",
         [
           Alcotest.test_case "read" `Quick test_read_handlers;
