@@ -15,7 +15,8 @@ For each workload and end-to-end metric it prints each side's median
 and quartiles, the ratio of the medians (change / parent), the pairs
 the change won (ties count for neither side), and whether the gain rule
 holds: the change won at least 9 of every 10 pairs, and the gap between
-the medians is larger than the parent's interquartile range. The host's
+the medians is larger than the parent's interquartile range ("n/a"
+below 10 pairs, where the rule does not apply). The host's
 speed drifts during a run, so it also prints each mode's in-run ratio
 to `fused_batch`. Metric directions come from BENCHMARK.json.
 
@@ -87,11 +88,16 @@ def report(workload, runs, higher):
         pq, cq = quartiles(p), quartiles(c)
         won = sum(1 for a, b in zip(p, c) if (b > a if up else b < a))
         gap = (cq[1] - pq[1]) if up else (pq[1] - cq[1])
-        gain = won * 10 >= 9 * len(runs) and gap > (pq[2] - pq[0])
+        if len(runs) < 10:
+            gain = "n/a"
+        elif won * 10 >= 9 * len(runs) and gap > (pq[2] - pq[0]):
+            gain = "yes"
+        else:
+            gain = "no"
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
         print("%-24s %8.4g/%8.4g/%8.4g %8.4g/%8.4g/%8.4g %7.3f %3d/%-2d %5s" % (
             name, pq[0], pq[1], pq[2], cq[0], cq[1], cq[2], ratio, won,
-            len(runs), "yes" if gain else "no"))
+            len(runs), gain))
     modes = [n for n in names if n.startswith("mpps.")
              and n != "mpps.fused_batch"]
     if "mpps.fused_batch" in names:
