@@ -6,7 +6,6 @@
 module Graph = Oclick_graph
 module Packet = Oclick_packet.Packet
 module Element = Oclick_runtime.Element
-module Hooks = Oclick_runtime.Hooks
 module Region = Oclick_runtime.Region
 module Driver = Oclick_runtime.Driver
 module Fdd = Oclick_fdd
@@ -47,8 +46,6 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
   | Ok () ->
       let n = Driver.size d in
       let elements = Array.init n (Driver.element_at d) in
-      let hooks = Driver.hooks d in
-      let lean_work = hooks.Hooks.on_work == Hooks.null.Hooks.on_work in
       (* The push wiring: [out.(i).(port)] is the (element, port) that
          output [port] of [i] was connected to, as its link records. *)
       let out =
@@ -66,7 +63,7 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
          elements entered only from inside a region keep their
          per-element body (used when they are entered directly). *)
       let plans =
-        if fuse then Fdd.plan_regions elements out hooks else Array.make n None
+        if fuse then Fdd.plan_regions elements out else Array.make n None
       in
       (* Per-element compiled bodies, memoized; [building] marks the
          elements whose body is in progress so a cycle reaching back into
@@ -94,11 +91,7 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
             | Some plan ->
                 let f =
                   Fdd.compile
-                    {
-                      Fdd.fd_elements = elements;
-                      fd_port = port_of;
-                      fd_hooks = hooks;
-                    }
+                    { Fdd.fd_elements = elements; fd_port = port_of }
                     plan
                 in
                 regions := f.Fdd.fu_region :: !regions;
@@ -114,7 +107,8 @@ let install ?(fuse = false) (d : Driver.t) : (stats, string) result =
                    body: connections into it call its [push]. *)
                 Option.map
                   (fun sem ->
-                    Region.body sem ~noutputs:elements.(i)#noutputs ~lean_work
+                    Region.body sem ~noutputs:elements.(i)#noutputs
+                      ~lean_work:elements.(i)#lean_work
                       ~out:(fun port -> fst (port_of i port)))
                   elements.(i)#region_sem
           in

@@ -53,8 +53,10 @@ type stats = {
 
 val install : ?fuse:bool -> Oclick_runtime.Driver.t -> (stats, string) result
 (** Compile the driver's push paths in place. The compiled bodies
-    capture the installed hooks and fault injectors; callers must not
-    change them afterwards (the driver never does).
+    capture each element's installed hooks and fault injector — its
+    ports' transfer reports and its own work charges alike, so per-shard
+    hooks set on the elements are honoured; callers must not change them
+    afterwards (the driver never does).
 
     With [~fuse:true], the cross-element FDD pass ({!Oclick_fdd}) plans
     a diagram at every region root: cascades of classifiers, paint

@@ -24,12 +24,10 @@ module Packet = Oclick_packet.Packet
 module Tree = Oclick_classifier.Tree
 module Element = Oclick_runtime.Element
 module Region = Oclick_runtime.Region
-module Hooks = Oclick_runtime.Hooks
 
 type ctx = {
   fd_elements : Element.t array;
   fd_port : int -> int -> (Packet.t -> unit) * (Packet.t array -> unit);
-  fd_hooks : Hooks.t;
 }
 
 type region = {
@@ -97,14 +95,12 @@ end)
 
 type fact = Known of int | Excluded of int list
 
-let lean_work hooks = hooks.Hooks.on_work == Hooks.null.Hooks.on_work
-
 (* Whether [e]'s output [port] runs a wire mangler. *)
 let mangled (e : Element.t) port =
   match e#link port with Some ln -> ln.Element.ln_mangle <> None | _ -> false
 
 let plan (elements : Element.t array) (out : (int * int) option array array)
-    ~lean_work entry =
+    entry =
   let el i = elements.(i) in
   let nodes = ref [] in
   let ncount = ref 0 in
@@ -210,7 +206,9 @@ let plan (elements : Element.t array) (out : (int * int) option array array)
   and graft j tree target visited ~shift ~paint ~barrier ~path ~ops ~facts =
     match target with
     | Tree.Leaf k ->
-        let ops = if lean_work then ops else K_charge (j, visited) :: ops in
+        let ops =
+          if (el j)#lean_work then ops else K_charge (j, visited) :: ops
+        in
         if k >= 0 && k < (el j)#noutputs then
           continue j k ~shift ~paint ~barrier ~path ~ops ~facts
         else leaf_of (K_invalid j :: ops) X_none
@@ -297,9 +295,8 @@ let plan (elements : Element.t array) (out : (int * int) option array array)
    outputs, route ports); an element that roots no diagram runs its
    per-element body, so all of its out-edges are live. The worklist
    reaches a fixpoint in one pass per element. *)
-let plan_regions elements out hooks =
+let plan_regions elements out =
   let n = Array.length elements in
-  let lean_work = lean_work hooks in
   let plans = Array.make n None in
   let seen = Array.make n false in
   let pending = Queue.create () in
@@ -323,7 +320,7 @@ let plan_regions elements out hooks =
     elements;
   while not (Queue.is_empty pending) do
     let j = Queue.pop pending in
-    match plan elements out ~lean_work j with
+    match plan elements out j with
     | None -> leave j
     | Some pl ->
         plans.(j) <- Some pl;
@@ -359,7 +356,6 @@ type tnode = {
 
 let compile ctx pl =
   let el i = ctx.fd_elements.(i) in
-  let lean_work = lean_work ctx.fd_hooks in
   let link i port = Option.get ((el i)#link port) in
   let charge_of j =
     match (el j)#region_sem with
@@ -481,7 +477,8 @@ let compile ctx pl =
     | Some (Region.Route { rt_make; _ }) ->
         let dst = el j in
         let lookup =
-          Element.contain dst ~faulted:Region.consumed (rt_make ~lean_work)
+          Element.contain dst ~faulted:Region.consumed
+            (rt_make ~lean_work:dst#lean_work)
         in
         let outs = Array.map fst (Array.init dst#noutputs (ctx.fd_port j)) in
         let scalar p =

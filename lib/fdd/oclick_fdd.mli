@@ -34,16 +34,16 @@
 
 module Packet = Oclick_packet.Packet
 module Element = Oclick_runtime.Element
-module Hooks = Oclick_runtime.Hooks
 
 type ctx = {
   fd_elements : Element.t array;  (** the instantiated graph, by index *)
   fd_port : int -> int -> (Packet.t -> unit) * (Packet.t array -> unit);
       (** the compiler's port ({!Element.push_port}) of element [i]'s
           output [port], scalar and batch, for leaving the region *)
-  fd_hooks : Hooks.t;
-      (** the installed hooks; no-op fields are specialized away *)
 }
+(** Each element's work charges are specialized away where its own
+    hooks take none (its [lean_work]); its hops report to the hooks its
+    links carry. *)
 
 type region = {
   rg_entry : string;  (** name of the element whose push the body replaces *)
@@ -59,9 +59,8 @@ type plan
 (** One region's diagram and leaf actions, before compilation. *)
 
 val plan_regions :
-  Element.t array -> (int * int) option array array -> Hooks.t ->
-  plan option array
-(** [plan_regions elements out hooks] plans a diagram at every region
+  Element.t array -> (int * int) option array array -> plan option array
+(** [plan_regions elements out] plans a diagram at every region
     root of the push graph wired by [out] ([out.(i).(port)] is the
     downstream (element, port)). An element roots a region only if some
     push edge into it is live — not absorbed by another diagram: it

@@ -153,7 +153,6 @@ let element t name = Hashtbl.find_opt t.by_name name
 let element_at t i = t.elements.(i)
 let graph t = t.graph
 let size t = Array.length t.elements
-let hooks t = t.hooks
 
 let tasks t = t.tasks
 let compile ?fuse t = Result.map (fun _ -> ()) (compile_installed ?fuse t)

@@ -85,10 +85,6 @@ val element_at : t -> int -> Element.t
 val graph : t -> Oclick_graph.Router.t
 val size : t -> int
 
-val hooks : t -> Hooks.t
-(** The hooks installed at instantiation (after any pool wrapping) — the
-    exact record every element reports through. *)
-
 val tasks : t -> Element.t array
 (** The task elements in declaration order — the exact array the
     scheduler rounds iterate. Exposed so a sharding layer can split the

@@ -39,6 +39,7 @@ and t = <
   index : int;
   set_index : int -> unit;
   set_hooks : Hooks.t -> unit;
+  lean_work : bool;
   set_nports : inputs:int -> outputs:int -> unit;
   ninputs : int;
   noutputs : int;
@@ -147,6 +148,13 @@ class virtual base : string -> object
   method index : int
   method set_index : int -> unit
   method set_hooks : Hooks.t -> unit
+
+  method lean_work : bool
+  (** The [lean_work] field: whether the hooks this element reports to
+      take no work charges. The graph compiler builds this element's
+      body, and the FDD its charges, to match, so a compiled element
+      charges exactly where its interpreted body would. *)
+
   method set_nports : inputs:int -> outputs:int -> unit
   method ninputs : int
   method noutputs : int

@@ -899,6 +899,54 @@ let test_ports_follow_hooks () =
       end)
     [ false; true ]
 
+(* Compiled bodies and fused regions charge work to each element's own
+   hooks, the ones its ports report to: a router instantiated under null
+   hooks, given recording hooks per element and then compiled, as the
+   multi-domain runner does, charges what a router built with the hooks
+   charges. *)
+let test_ports_compiled_charges () =
+  let works = Hashtbl.create 8 in
+  let recording =
+    {
+      Hooks.null with
+      Hooks.on_work =
+        (fun ~idx:_ ~cls w -> bump works cls (snd (work_units w)));
+    }
+  in
+  let take () =
+    let r = sorted works in
+    Hashtbl.reset works;
+    r
+  in
+  let build ?hooks () =
+    match Driver.of_string ?hooks port_graph with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "%s" e
+  in
+  drive_ports (build ~hooks:recording ()) (ip_frames 40);
+  let reference = take () in
+  List.iter
+    (fun cls ->
+      check_bool (cls ^ " charges") true (List.mem_assoc cls reference))
+    [ "Classifier"; "CheckIPHeader"; "LookupIPRoute" ];
+  List.iter
+    (fun fuse ->
+      let tag = if fuse then "fused" else "compiled" in
+      let d = build () in
+      set_all_hooks d recording;
+      (match Driver.compile ~fuse d with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "compile: %s" e);
+      if fuse then
+        check_bool "a region is fused" true
+          ((Option.get (Oclick_compile.last_stats ())).Oclick_compile.st_regions
+          <> []);
+      drive_ports d (ip_frames 40);
+      Alcotest.(check (list (pair string int)))
+        (tag ^ ": the charges of a router built with the hooks")
+        reference (take ()))
+    [ false; true ]
+
 (* (b) A mangler installed after traffic runs on the next transfers,
    scalar and batched, also out of an element whose body was built. *)
 let test_ports_follow_mangle () =
@@ -1159,6 +1207,8 @@ let () =
       ( "ports",
         [
           Alcotest.test_case "follow hooks" `Quick test_ports_follow_hooks;
+          Alcotest.test_case "compiled charges follow hooks" `Quick
+            test_ports_compiled_charges;
           Alcotest.test_case "follow mangle" `Quick test_ports_follow_mangle;
           Alcotest.test_case "follow quarantine" `Quick
             test_ports_follow_quarantine;
