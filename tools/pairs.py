@@ -2,7 +2,7 @@
 """Compare two oclick revisions on perfbench with alternating run pairs.
 
     python3 tools/pairs.py --parent REV [--pairs 10] [--seconds 15]
-        [--workloads iprouter,cascade,churn] [--seed 2001] [--out FILE]
+        [--workloads iprouter,cascade,churn] [--seed 2001]
 
 Run it from the root of an oclick checkout. It extracts REV with
 `git archive` into a temporary directory, then runs
@@ -14,11 +14,14 @@ traffic.
 For each workload and end-to-end metric it prints each side's median
 and quartiles, the ratio of the medians (change / parent), the pairs
 the change won (ties count for neither side), and whether the gain rule
-holds: the change won at least 9 of every 10 pairs, and the gap between
-the medians is larger than the parent's interquartile range ("n/a"
-below 10 pairs, where the rule does not apply). The host's
-speed drifts during a run, so it also prints each mode's in-run ratio
-to `fused_batch`. Metric directions come from BENCHMARK.json.
+holds: the change won at least 9 of every 10 pairs, the gap between
+the medians is larger than the parent's interquartile range, and the
+change has no more runs that are not correct (or report failed checks)
+than the parent ("n/a" below 10 pairs, where the rule does not apply).
+The host's speed drifts during a run, so it also prints each mode's
+in-run ratio to `fused_batch`. Metric directions come from
+BENCHMARK.json. Each pair's `mpps.interp` goes to stderr as it
+finishes.
 
 The script only reads perfbench/; the temporary directory, with the
 parent's build in it, is removed at exit.
@@ -59,8 +62,7 @@ def run_side(root, workload, seed, seconds):
     if proc.returncode != 0 or not lines:
         fail("%s seed %d in %s failed (exit %d):\n%s"
              % (workload, seed, root, proc.returncode, proc.stderr[-2000:]))
-    result = json.loads(lines[-1])
-    return result
+    return json.loads(lines[-1])
 
 
 def quartiles(xs):
@@ -74,10 +76,12 @@ def report(workload, runs, higher):
     parent = [r for r, _ in runs]
     change = [c for _, c in runs]
     names = sorted(set(parent[0]["metrics"]) & set(change[0]["metrics"]))
-    bad = [r for r in parent + change
-           if not r.get("correct") or r.get("failed", 0) != 0]
-    print("\n== %s: %d pairs, %d runs not correct ==" % (
-        workload, len(runs), len(bad)))
+    def bad(side):
+        return sum(1 for r in side
+                   if not r.get("correct") or r.get("failed", 0) != 0)
+    more_bad = bad(change) > bad(parent)
+    print("\n== %s: %d pairs, runs not correct: parent %d, change %d ==" % (
+        workload, len(runs), bad(parent), bad(change)))
     print("%-24s %26s %26s %7s %6s %5s" % (
         "metric", "parent q1/med/q3", "change q1/med/q3", "ratio", "won",
         "gain"))
@@ -90,7 +94,8 @@ def report(workload, runs, higher):
         gap = (cq[1] - pq[1]) if up else (pq[1] - cq[1])
         if len(runs) < 10:
             gain = "n/a"
-        elif won * 10 >= 9 * len(runs) and gap > (pq[2] - pq[0]):
+        elif (not more_bad and won * 10 >= 9 * len(runs)
+              and gap > (pq[2] - pq[0])):
             gain = "yes"
         else:
             gain = "no"
@@ -121,7 +126,6 @@ def main():
     ap.add_argument("--workloads", default="iprouter,cascade,churn")
     ap.add_argument("--seed", type=int, default=2001,
                     help="seed of the first pair; pair k uses SEED + k")
-    ap.add_argument("--out", help="append every run's result line here")
     args = ap.parse_args()
     if not os.path.exists(os.path.join("perfbench", "run.py")):
         fail("run from the root of an oclick checkout")
@@ -144,12 +148,6 @@ def main():
                 got = {}
                 for side, root in order:
                     got[side] = run_side(root, workload, seed, args.seconds)
-                    if args.out:
-                        with open(args.out, "a") as f:
-                            f.write(json.dumps({
-                                "workload": workload, "seed": seed,
-                                "side": side, "pair": k,
-                                "result": got[side]}) + "\n")
                 runs.append((got["parent"], got["change"]))
                 print("%s pair %d (seed %d): interp %.3f -> %.3f Mpps" % (
                     workload, k, seed,
